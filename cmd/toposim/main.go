@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"toposense/internal/churn"
 	"toposense/internal/controller"
 	"toposense/internal/core"
 	"toposense/internal/experiments"
@@ -42,10 +41,7 @@ import (
 	"toposense/internal/netsim"
 	"toposense/internal/obs"
 	"toposense/internal/prof"
-	"toposense/internal/receiver"
-	"toposense/internal/rlm"
 	"toposense/internal/sim"
-	"toposense/internal/source"
 	"toposense/internal/topology"
 	"toposense/internal/trace"
 )
@@ -171,6 +167,7 @@ func main() {
 		Staleness:      sim.FromSeconds(*staleness),
 		ProbeDiscovery: *probe,
 		Aggregate:      *aggregate,
+		Federate:       *federate,
 	}
 	dur := sim.FromSeconds(*duration)
 
@@ -225,52 +222,16 @@ func main() {
 			var traces []*metrics.Trace
 			var optima []int
 			var levels []int
-			var names []string
 			var sampler *trace.Sampler
-			if algoName == "toposense" && *federate {
-				w, err := experiments.NewFedWorld(e, b, cfg)
-				if err != nil {
+			period := sim.FromSeconds(*churnPeriod)
+			if algoName == "toposense" {
+				if err := cfg.Validate(b); err != nil {
 					return nil, err
 				}
-				w.Domain.SetObs(m.Obs())
-				for _, l := range w.Leaves {
-					l.Controller().SetObs(m.Obs())
-				}
-				w.Parent.SetObs(m.Obs())
-				if *tsvDir != "" {
-					sampler = trace.NewSampler(e, 500*sim.Millisecond)
-					for s := range w.Receivers {
-						for _, rx := range w.Receivers[s] {
-							rx := rx
-							name := fmt.Sprintf("s%d-%s", s, rx.Node().Name)
-							sampler.Probe(name+".level", func() float64 { return float64(rx.Level()) })
-							sampler.Probe(name+".loss", func() float64 { return rx.LastLoss })
-						}
-					}
-					sampler.Start()
-				}
-				w.Run(dur)
-				traces, optima = w.AllTraces()
-				for s := range w.Receivers {
-					for _, rx := range w.Receivers[s] {
-						levels = append(levels, rx.Level())
-						names = append(names, fmt.Sprintf("s%d/%s", s, rx.Node().Name))
-					}
-				}
-				fmt.Printf("federation: %d domains, %d exports received, %d reconcile passes, %d budget changes\n",
-					len(w.Leaves), w.Parent.ExportsRecv, w.Parent.Reconciles, w.Parent.BudgetChanges)
-				for _, l := range w.Leaves {
-					ctrl := l.Controller()
-					changes, last := w.Parent.ChangesFor(l.Domain)
-					fmt.Printf("  domain %d: ceiling %d, %d exports sent, %d budget entries (last change %.0f s), %d suggestions capped, %d steps\n",
-						l.Domain, w.Parent.Ceiling(l.Domain), l.ExportsSent, changes, last.Seconds(), ctrl.SuggestionsCapped, ctrl.StepsRun)
-				}
-			} else if algoName == "toposense" {
 				w := experiments.NewWorld(e, b, cfg)
 				// m.Observe already attached the packet probe; wire the
-				// control-plane components by hand (SetObs(nil) is a no-op).
-				w.Domain.SetObs(m.Obs())
-				w.Controller.SetObs(m.Obs())
+				// control plane (SetObs(nil) is a no-op).
+				w.SetObs(m.Obs())
 				if *billing {
 					w.Controller.EnableBilling()
 				}
@@ -290,63 +251,43 @@ func main() {
 					sampler.Start()
 				}
 				// Membership churn: every receiver alternates between joined
-				// and departed. A departure is the full lifecycle (leave all
-				// layer groups, deregister with the controller); a rejoin is a
-				// fresh incarnation that registers from scratch. cur tracks
-				// the live incarnation per slot; its OnChange feeds the same
-				// trace as the original, so deviations reflect the churn.
-				var cur [][]*receiver.Receiver
-				var drv *churn.Driver
+				// and departed — the full lifecycle (leave all layer groups,
+				// deregister) out, a fresh incarnation feeding the same trace
+				// back in, so deviations reflect the churn.
 				if *churnPeriod > 0 {
-					drv = churn.New(b.Net)
-					drv.SetObs(m.Obs())
-					period := sim.FromSeconds(*churnPeriod)
-					cur = make([][]*receiver.Receiver, len(w.Receivers))
 					for s := range w.Receivers {
-						cur[s] = append([]*receiver.Receiver(nil), w.Receivers[s]...)
 						for i := range w.Receivers[s] {
-							s, i := s, i
-							node := b.Receivers[s][i]
-							tr := w.Traces[s][i]
-							drv.Slot(0, period, period,
-								func() {
-									rx := receiver.New(b.Net, w.Domain, node, receiver.Config{
-										Session: s, MaxLayers: source.DefaultLayers,
-										InitialLevel: 1, Controller: b.Controller.ID,
-									})
-									rx.OnChange = func(c receiver.Change) { tr.Set(c.At, c.To) }
-									rx.Start()
-									cur[s][i] = rx
-								},
-								func() {
-									if rx := cur[s][i]; rx != nil {
-										rx.Depart()
-										cur[s][i] = nil
-									}
-								})
+							w.ChurnSlot(s, i, period)
 						}
 					}
 				}
 				w.Run(dur)
 				traces, optima = w.AllTraces()
 				for s := range w.Receivers {
-					for i, rx := range w.Receivers[s] {
-						if cur != nil {
-							rx = cur[s][i]
-						}
+					for _, rx := range w.Receivers[s] {
 						lvl := 0
 						if rx != nil {
 							lvl = rx.Level()
 						}
 						levels = append(levels, lvl)
-						names = append(names, fmt.Sprintf("s%d/%s", s, b.Receivers[s][i].Name))
 					}
 				}
-				fmt.Printf("controller: %d steps, %d suggestions sent, %d reports received\n",
-					w.Controller.StepsRun, w.Controller.SuggestionsSent, w.Controller.ReportsRecv)
-				if drv != nil {
+				if w.Parent != nil {
+					fmt.Printf("federation: %d domains, %d exports received, %d reconcile passes, %d budget changes\n",
+						len(w.Leaves), w.Parent.ExportsRecv, w.Parent.Reconciles, w.Parent.BudgetChanges)
+					for _, l := range w.Leaves {
+						ctrl := l.Controller()
+						changes, last := w.Parent.ChangesFor(l.Domain)
+						fmt.Printf("  domain %d: ceiling %d, %d exports sent, %d budget entries (last change %.0f s), %d suggestions capped, %d steps\n",
+							l.Domain, w.Parent.Ceiling(l.Domain), l.ExportsSent, changes, last.Seconds(), ctrl.SuggestionsCapped, ctrl.StepsRun)
+					}
+				} else {
+					fmt.Printf("controller: %d steps, %d suggestions sent, %d reports received\n",
+						w.Controller.StepsRun, w.Controller.SuggestionsSent, w.Controller.ReportsRecv)
+				}
+				if w.Churn != nil {
 					fmt.Printf("churn: %d joins, %d leaves, %d deregisters consumed, %d receivers registered at end\n",
-						drv.Joins, drv.Leaves, w.Controller.DeregistersRecv, len(w.Controller.RegisteredReceivers()))
+						w.Churn.Joins, w.Churn.Leaves, w.Controller.DeregistersRecv, len(w.Controller.RegisteredReceivers()))
 				}
 				if *aggregate {
 					fmt.Printf("aggregation: %d reports absorbed in-network, %d merges, %d flushes, %d sub-batches down\n",
@@ -354,7 +295,7 @@ func main() {
 					fmt.Printf("controller fan-in: %d control msgs (%d modeled bytes), %d aggregates, %d batches out\n",
 						w.Controller.CtlMsgsRecv, w.Controller.CtlBytesRecv, w.Controller.AggregatesRecv, w.Controller.BatchesSent)
 				}
-				if *probe {
+				if *probe && w.Tool != nil {
 					fmt.Printf("discovery: %d probe packets over %d discoveries\n", w.Tool.ProbePackets, w.Tool.Discoveries)
 				}
 				if *billing {
@@ -371,61 +312,38 @@ func main() {
 				}
 			} else {
 				w := experiments.NewRLMWorld(e, b, cfg)
-				w.Domain.SetObs(m.Obs())
-				// RLM baseline under churn: a departure is Stop (leave every
-				// group — RLM has no control plane to deregister from) and a
-				// rejoin is a fresh receiver probing up from the base layer.
-				var cur [][]*rlm.Receiver
-				var drv *churn.Driver
+				w.SetObs(m.Obs())
+				// RLM baseline under churn: a departure is Stop (RLM has no
+				// control plane to deregister from) and a rejoin is a fresh
+				// receiver probing up from the base layer.
 				if *churnPeriod > 0 {
-					drv = churn.New(b.Net)
-					drv.SetObs(m.Obs())
-					period := sim.FromSeconds(*churnPeriod)
-					cur = make([][]*rlm.Receiver, len(w.Receivers))
 					for s := range w.Receivers {
-						cur[s] = append([]*rlm.Receiver(nil), w.Receivers[s]...)
 						for i := range w.Receivers[s] {
-							s, i := s, i
-							node := b.Receivers[s][i]
-							tr := w.Traces[s][i]
-							drv.Slot(0, period, period,
-								func() {
-									rx := rlm.New(b.Net, w.Domain, node, rlm.Config{
-										Session: s, MaxLayers: source.DefaultLayers,
-									})
-									rx.OnChange = func(c rlm.Change) { tr.Set(c.At, c.To) }
-									rx.Start()
-									cur[s][i] = rx
-								},
-								func() {
-									if rx := cur[s][i]; rx != nil {
-										rx.Stop()
-										cur[s][i] = nil
-									}
-								})
+							w.ChurnSlot(s, i, period)
 						}
 					}
 				}
 				w.Run(dur)
 				traces, optima = w.AllTraces()
 				for s := range w.Receivers {
-					for i, rx := range w.Receivers[s] {
-						if cur != nil {
-							rx = cur[s][i]
-						}
+					for _, rx := range w.Receivers[s] {
 						lvl := 0
 						if rx != nil {
 							lvl = rx.Level()
 						}
 						levels = append(levels, lvl)
-						names = append(names, fmt.Sprintf("s%d/%s", s, b.Receivers[s][i].Name))
 					}
 				}
-				if drv != nil {
-					fmt.Printf("churn: %d joins, %d leaves\n", drv.Joins, drv.Leaves)
+				if w.Churn != nil {
+					fmt.Printf("churn: %d joins, %d leaves\n", w.Churn.Joins, w.Churn.Leaves)
 				}
 			}
-
+			var names []string
+			for s := range b.Receivers {
+				for _, node := range b.Receivers[s] {
+					names = append(names, fmt.Sprintf("s%d/%s", s, node.Name))
+				}
+			}
 			if inj != nil {
 				fmt.Printf("faults: bottleneck down %.0f-%.0f s (%d link failures, %d repairs, %d packets unroutable)\n",
 					*failAt, *failAt+*outage, inj.Failures, inj.Repairs, b.Net.Unroutable)

@@ -3,8 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"toposense/internal/churn"
 	"toposense/internal/mcast"
 	"toposense/internal/metrics"
+	"toposense/internal/netsim"
+	"toposense/internal/obs"
 	"toposense/internal/rlm"
 	"toposense/internal/sim"
 	"toposense/internal/source"
@@ -19,10 +22,16 @@ type RLMWorld struct {
 	Build     *topology.Build
 	Domain    *mcast.Domain
 	Sources   []*source.Source
-	Receivers [][]*rlm.Receiver
+	Receivers [][]*rlm.Receiver // [session][i]; a churn slot's live incarnation, nil while departed
 	Traces    [][]*metrics.Trace
 	Optimal   [][]int
-	started   bool
+
+	// Churn drives membership churn; nil until ChurnSlot adds a slot.
+	Churn *churn.Driver
+
+	layers  int
+	obs     *obs.Obs
+	started bool
 }
 
 // NewRLMWorld assembles an RLM world on a built topology.
@@ -32,7 +41,7 @@ func NewRLMWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *RLMWorld {
 		layers = source.DefaultLayers
 	}
 	d := mcast.NewDomain(b.Net)
-	w := &RLMWorld{Engine: e, Build: b, Domain: d, Optimal: b.Optimal}
+	w := &RLMWorld{Engine: e, Build: b, Domain: d, Optimal: b.Optimal, layers: layers}
 	for i, srcNode := range b.Sources {
 		w.Sources = append(w.Sources, source.New(b.Net, d, srcNode, source.Config{
 			Session: i, Layers: layers, PeakToMean: cfg.Traffic.PeakToMean,
@@ -42,16 +51,60 @@ func NewRLMWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *RLMWorld {
 		var rxs []*rlm.Receiver
 		var trs []*metrics.Trace
 		for _, node := range b.Receivers[s] {
-			rx := rlm.New(b.Net, d, node, rlm.Config{Session: s, MaxLayers: layers})
 			tr := metrics.NewTrace(0, 0)
-			rx.OnChange = func(c rlm.Change) { tr.Set(c.At, c.To) }
-			rxs = append(rxs, rx)
+			rxs = append(rxs, w.newReceiver(s, node, tr))
 			trs = append(trs, tr)
 		}
 		w.Receivers = append(w.Receivers, rxs)
 		w.Traces = append(w.Traces, trs)
 	}
 	return w
+}
+
+// newReceiver builds session s's receiver at node, recording its level
+// changes into tr.
+func (w *RLMWorld) newReceiver(s int, node *netsim.Node, tr *metrics.Trace) *rlm.Receiver {
+	rx := rlm.New(w.Build.Net, w.Domain, node, rlm.Config{Session: s, MaxLayers: w.layers})
+	rx.OnChange = func(c rlm.Change) { tr.Set(c.At, c.To) }
+	return rx
+}
+
+// ChurnSlot makes receiver i of session s a Poisson membership slot of the
+// world's churn driver (created on first use) with the given mean on/off
+// period. A departure is Stop — RLM has no control plane to deregister
+// from; a rejoin is a fresh receiver probing up from the base layer and
+// feeding the same trace. Receivers[s][i] holds the live incarnation, nil
+// while departed. Call before the run: registration draws from the
+// run-wide RNG.
+func (w *RLMWorld) ChurnSlot(s, i int, period sim.Time) {
+	if w.Churn == nil {
+		w.Churn = churn.New(w.Build.Net)
+		w.Churn.SetObs(w.obs)
+	}
+	node, tr := w.Build.Receivers[s][i], w.Traces[s][i]
+	w.Churn.Slot(0, period, period,
+		func() {
+			rx := w.newReceiver(s, node, tr)
+			rx.Start()
+			w.Receivers[s][i] = rx
+		},
+		func() {
+			w.Receivers[s][i].Stop()
+			w.Receivers[s][i] = nil
+		})
+}
+
+// SetObs wires an observability bundle into the multicast domain and the
+// churn driver. A nil bundle is a no-op.
+func (w *RLMWorld) SetObs(o *obs.Obs) {
+	if o == nil {
+		return
+	}
+	w.obs = o
+	w.Domain.SetObs(o)
+	if w.Churn != nil {
+		w.Churn.SetObs(o)
+	}
 }
 
 // Run starts everything and advances to the given time.

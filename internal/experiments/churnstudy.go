@@ -6,22 +6,18 @@ import (
 	"toposense/internal/churn"
 	"toposense/internal/metrics"
 	"toposense/internal/netsim"
-	"toposense/internal/receiver"
-	"toposense/internal/rlm"
 	"toposense/internal/sim"
-	"toposense/internal/source"
 	"toposense/internal/topology"
 	"toposense/internal/trace"
 )
 
 // fig_churn: the full receiver leave lifecycle under Poisson join/leave
-// churn. Where the legacy "churn" study only stops churning receivers (and
-// leans on registration expiry to clean up), this study exercises the
-// explicit departure path end to end — Depart() tears down every layer
-// group, the Deregister control packet removes the controller's entry the
-// moment it lands, and the multicast tree prunes behind the last member —
-// sweeping the churn period around the decision interval on Topology B
-// (TopoSense vs RLM) plus one large tree-ladder point at ~1% churn.
+// churn. The study exercises the explicit departure path end to end —
+// Depart() tears down every layer group, the Deregister control packet
+// removes the controller's entry the moment it lands, and the multicast tree
+// prunes behind the last member — sweeping the churn period around the
+// decision interval on Topology B (TopoSense vs RLM) plus one large
+// tree-ladder point at ~1% churn.
 
 // churnSettleWindow is the tail window settled receivers are judged over:
 // a settled receiver must track its optimum regardless of the churn around
@@ -141,6 +137,15 @@ func addChurnNodesB(b *topology.Build) []churnSlotRef {
 	return refs
 }
 
+// churnTopoB is the Topology B arms' build: sessions competing sessions,
+// each with one churn receiver added by addChurnNodesB.
+func churnTopoB(sessions int) func(e sim.Runner) (*topology.Build, []churnSlotRef) {
+	return func(e sim.Runner) (*topology.Build, []churnSlotRef) {
+		b := topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
+		return b, addChurnNodesB(b)
+	}
+}
+
 // treeChurnSlots picks ~1% of a single-session build's receivers (at least
 // one), evenly spaced, as churn slots.
 func treeChurnSlots(b *topology.Build) []churnSlotRef {
@@ -198,40 +203,17 @@ func churnMetrics(row *ChurnStudyRow, drv *churn.Driver, grafts, prunes int64,
 // runChurnTopoSense is one TopoSense arm: build the world, drive churn
 // through the full departure lifecycle (Depart -> Deregister -> prune), and
 // reduce. mkBuild must emit the build with churn nodes already in place.
+// The world is returned for inspection after the run.
 func runChurnTopoSense(topo string, seed int64, dur, period sim.Time, shards int,
-	mkBuild func(e sim.Runner) (*topology.Build, []churnSlotRef), m *Meter) (ChurnStudyRow, error) {
+	mkBuild func(e sim.Runner) (*topology.Build, []churnSlotRef), m *Meter) (ChurnStudyRow, *World) {
 	e := NewRunEngine(seed, shards)
 	b, refs := mkBuild(e)
 	w := NewWorld(e, b, WorldConfig{Seed: seed})
 	m.ObserveWorld(w)
 	row := ChurnStudyRow{Topo: topo, Algo: "TopoSense", PeriodS: period.Seconds(),
 		Slots: len(refs), Sharded: shards >= 1}
-
-	drv := churn.New(w.Net)
-	drv.SetObs(m.Obs())
-	layers := source.DefaultLayers
-	cur := make(map[churnSlotRef]*receiver.Receiver, len(refs))
 	for _, ref := range refs {
-		ref := ref
-		node := b.Receivers[ref.session][ref.idx]
-		cur[ref] = w.Receivers[ref.session][ref.idx]
-		drv.Slot(0, period, period,
-			func() { // join: a fresh incarnation registers from scratch
-				rx := receiver.New(w.Net, w.Domain, node, receiver.Config{
-					Session:      ref.session,
-					MaxLayers:    layers,
-					InitialLevel: 1,
-					Controller:   b.Controller.ID,
-				})
-				rx.Start()
-				cur[ref] = rx
-			},
-			func() { // leave: the full teardown under test
-				if rx := cur[ref]; rx != nil {
-					rx.Depart()
-					cur[ref] = nil
-				}
-			})
+		w.ChurnSlot(ref.session, ref.idx, period)
 	}
 
 	sp := trace.NewSampler(e, 2*sim.Second)
@@ -242,43 +224,23 @@ func runChurnTopoSense(topo string, seed int64, dur, period sim.Time, shards int
 
 	row.Deregisters = w.Controller.DeregistersRecv
 	row.FinalRegistered = len(w.Controller.RegisteredReceivers())
-	churnMetrics(&row, drv, w.Domain.Grafts, w.Domain.Prunes, sp, w.Traces, w.Optimal, refs, dur)
-	return row, nil
+	churnMetrics(&row, w.Churn, w.Domain.Grafts, w.Domain.Prunes, sp, w.Traces, w.Optimal, refs, dur)
+	return row, w
 }
 
 // runChurnRLM is the receiver-driven arm: churn slots Stop (silent leave —
 // RLM has no controller to notify) and restart as fresh rlm receivers.
 // Always serial: NewRLMWorld does not partition.
 func runChurnRLM(topo string, seed int64, dur, period sim.Time,
-	mkBuild func(e sim.Runner) (*topology.Build, []churnSlotRef), m *Meter) (ChurnStudyRow, error) {
+	mkBuild func(e sim.Runner) (*topology.Build, []churnSlotRef), m *Meter) ChurnStudyRow {
 	e := sim.NewEngine(seed)
 	b, refs := mkBuild(e)
 	w := NewRLMWorld(e, b, WorldConfig{Seed: seed})
 	m.Observe(e, b.Net)
+	w.SetObs(m.Obs())
 	row := ChurnStudyRow{Topo: topo, Algo: "RLM", PeriodS: period.Seconds(), Slots: len(refs)}
-
-	drv := churn.New(b.Net)
-	drv.SetObs(m.Obs())
-	layers := source.DefaultLayers
-	cur := make(map[churnSlotRef]*rlm.Receiver, len(refs))
 	for _, ref := range refs {
-		ref := ref
-		node := b.Receivers[ref.session][ref.idx]
-		cur[ref] = w.Receivers[ref.session][ref.idx]
-		drv.Slot(0, period, period,
-			func() {
-				rx := rlm.New(b.Net, w.Domain, node, rlm.Config{
-					Session: ref.session, MaxLayers: layers,
-				})
-				rx.Start()
-				cur[ref] = rx
-			},
-			func() {
-				if rx := cur[ref]; rx != nil {
-					rx.Stop()
-					cur[ref] = nil
-				}
-			})
+		w.ChurnSlot(ref.session, ref.idx, period)
 	}
 
 	sp := trace.NewSampler(e, 2*sim.Second)
@@ -287,8 +249,8 @@ func runChurnRLM(topo string, seed int64, dur, period sim.Time,
 	w.Run(dur)
 	sp.Stop()
 
-	churnMetrics(&row, drv, w.Domain.Grafts, w.Domain.Prunes, sp, w.Traces, w.Optimal, refs, dur)
-	return row, nil
+	churnMetrics(&row, w.Churn, w.Domain.Grafts, w.Domain.Prunes, sp, w.Traces, w.Optimal, refs, dur)
+	return row
 }
 
 // ChurnStudySpecs enumerates the fig_churn sweep: TopoSense-vs-RLM pairs on
@@ -296,10 +258,7 @@ func runChurnRLM(topo string, seed int64, dur, period sim.Time,
 // at ~1% churn.
 func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 	cfg.normalize()
-	mkB := func(e sim.Runner) (*topology.Build, []churnSlotRef) {
-		b := topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
-		return b, addChurnNodesB(b)
-	}
+	mkB := churnTopoB(cfg.Sessions)
 	var specs []Spec
 	for _, period := range cfg.Periods {
 		period := period
@@ -307,21 +266,14 @@ func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 			fmt.Sprintf("fig_churn/topo=B/period=%gs/TopoSense", period.Seconds()),
 			cfg.Seed, cfg.Duration,
 			func(m *Meter) (any, error) {
-				row, err := runChurnTopoSense("B", cfg.Seed, cfg.Duration, period, cfg.Shards, mkB, m)
-				if err != nil {
-					return nil, err
-				}
+				row, _ := runChurnTopoSense("B", cfg.Seed, cfg.Duration, period, cfg.Shards, mkB, m)
 				return []ChurnStudyRow{row}, nil
 			}))
 		specs = append(specs, NewSpec("fig_churn",
 			fmt.Sprintf("fig_churn/topo=B/period=%gs/RLM", period.Seconds()),
 			cfg.Seed, cfg.Duration,
 			func(m *Meter) (any, error) {
-				row, err := runChurnRLM("B", cfg.Seed, cfg.Duration, period, mkB, m)
-				if err != nil {
-					return nil, err
-				}
-				return []ChurnStudyRow{row}, nil
+				return []ChurnStudyRow{runChurnRLM("B", cfg.Seed, cfg.Duration, period, mkB, m)}, nil
 			}))
 	}
 	treePeriod := 4 * sim.Second
@@ -337,10 +289,7 @@ func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 		fmt.Sprintf("fig_churn/topo=%s/period=%gs/TopoSense", cfg.TreeTopo, treePeriod.Seconds()),
 		cfg.Seed, cfg.TreeDuration,
 		func(m *Meter) (any, error) {
-			row, err := runChurnTopoSense(cfg.TreeTopo, cfg.Seed, cfg.TreeDuration, treePeriod, cfg.Shards, mkTree, m)
-			if err != nil {
-				return nil, err
-			}
+			row, _ := runChurnTopoSense(cfg.TreeTopo, cfg.Seed, cfg.TreeDuration, treePeriod, cfg.Shards, mkTree, m)
 			return []ChurnStudyRow{row}, nil
 		}))
 	return specs

@@ -56,12 +56,12 @@ type FederationRow struct {
 	FinalOK   bool    `json:"final_within_1"` // every receiver within 1 layer of optimal at the end
 
 	// Federated-only: the parent's view of the domain.
-	Ceiling       int     `json:"ceiling,omitempty"`         // border-bandwidth level ceiling
-	EndBudget     int     `json:"end_budget,omitempty"`      // session-0 budget in force at the end
-	BudgetChanges int64   `json:"budget_changes,omitempty"`  // budget entries pushed over the run
-	LastChangeS   float64 `json:"last_change_s,omitempty"`   // when the last budget push happened
-	Converged     bool    `json:"converged,omitempty"`       // no budget churn in the final third
-	CrossDomain   int     `json:"cross_domain_regs"`         // receivers registered outside their leaf's scope (must be 0)
+	Ceiling       int     `json:"ceiling,omitempty"`        // border-bandwidth level ceiling
+	EndBudget     int     `json:"end_budget,omitempty"`     // session-0 budget in force at the end
+	BudgetChanges int64   `json:"budget_changes,omitempty"` // budget entries pushed over the run
+	LastChangeS   float64 `json:"last_change_s,omitempty"`  // when the last budget push happened
+	Converged     bool    `json:"converged,omitempty"`      // no budget churn in the final third
+	CrossDomain   int     `json:"cross_domain_regs"`        // receivers registered outside their leaf's scope (must be 0)
 	Capped        int64   `json:"capped_suggestions,omitempty"`
 }
 
@@ -105,15 +105,24 @@ func federationQuality(traces []*metrics.Trace, optima []int, finals []int, idx 
 // run on the identical topology and seed.
 func FederationSpecs(cfg FederationConfig) []Spec {
 	cfg.normalize()
-	wcfg := WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic}
+	return []Spec{federationSpec(cfg, false), federationSpec(cfg, true)}
+}
 
-	flat := NewSpec("fig_federation",
-		fmt.Sprintf("fig_federation/flat/%s/seed=%d", cfg.Traffic.Name, cfg.Seed),
+// federationSpec is one variant: the all-domains row, then one row per
+// receiver-bearing domain. Federated rows add the parent's view of each
+// domain and the leaf's isolation check.
+func federationSpec(cfg FederationConfig, federate bool) Spec {
+	variant := "flat"
+	if federate {
+		variant = "federated"
+	}
+	return NewSpec("fig_federation",
+		fmt.Sprintf("fig_federation/%s/%s/seed=%d", variant, cfg.Traffic.Name, cfg.Seed),
 		cfg.Seed, cfg.Duration,
 		func(m *Meter) (any, error) {
 			e := NewRunEngine(cfg.Seed, 0)
 			b := federationTopology(e, cfg.Seed, cfg.ReceiversPerLeaf)
-			w := NewWorld(e, b, wcfg)
+			w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Federate: federate})
 			m.ObserveWorld(w)
 			w.Run(cfg.Duration)
 			traces, optima := w.AllTraces()
@@ -122,50 +131,20 @@ func FederationSpecs(cfg FederationConfig) []Spec {
 				finals[i] = rx.Level()
 			}
 			doms, byDom := federationGroups(b)
-			var rows []FederationRow
 			all := make([]int, len(traces))
 			for i := range all {
 				all[i] = i
 			}
 			dev, ok := federationQuality(traces, optima, finals, all, cfg.Duration)
-			rows = append(rows, FederationRow{Variant: "flat", Domain: -1, Receivers: len(all), MeanDev: dev, FinalOK: ok})
-			for _, d := range doms {
-				dev, ok := federationQuality(traces, optima, finals, byDom[d], cfg.Duration)
-				rows = append(rows, FederationRow{Variant: "flat", Domain: d, Receivers: len(byDom[d]), MeanDev: dev, FinalOK: ok})
-			}
-			return rows, nil
-		})
-
-	fed := NewSpec("fig_federation",
-		fmt.Sprintf("fig_federation/federated/%s/seed=%d", cfg.Traffic.Name, cfg.Seed),
-		cfg.Seed, cfg.Duration,
-		func(m *Meter) (any, error) {
-			e := NewRunEngine(cfg.Seed, 0)
-			b := federationTopology(e, cfg.Seed, cfg.ReceiversPerLeaf)
-			w, err := NewFedWorld(e, b, wcfg)
-			if err != nil {
-				return nil, err
-			}
-			m.Observe(w.Engine, w.Net)
-			w.Run(cfg.Duration)
-			traces, optima := w.AllTraces()
-			finals := make([]int, len(w.Receivers[0]))
-			for i, rx := range w.Receivers[0] {
-				finals[i] = rx.Level()
-			}
-			doms, byDom := federationGroups(b)
+			allRow := FederationRow{Variant: variant, Domain: -1, Receivers: len(all), MeanDev: dev, FinalOK: ok}
 			var rows []FederationRow
-			all := make([]int, len(traces))
-			for i := range all {
-				all[i] = i
-			}
-			dev, ok := federationQuality(traces, optima, finals, all, cfg.Duration)
-			allRow := FederationRow{Variant: "federated", Domain: -1, Receivers: len(all), MeanDev: dev, FinalOK: ok}
 			for _, d := range doms {
 				dev, ok := federationQuality(traces, optima, finals, byDom[d], cfg.Duration)
-				row := FederationRow{Variant: "federated", Domain: d, Receivers: len(byDom[d]), MeanDev: dev, FinalOK: ok}
-				leaf := w.LeafFor[d]
-				if leaf != nil {
+				row := FederationRow{Variant: variant, Domain: d, Receivers: len(byDom[d]), MeanDev: dev, FinalOK: ok}
+				for _, leaf := range w.Leaves {
+					if leaf.Domain != d {
+						continue
+					}
 					changes, last := w.Parent.ChangesFor(d)
 					row.Ceiling = w.Parent.Ceiling(d)
 					row.EndBudget = w.Parent.Budget(d, 0)
@@ -177,9 +156,8 @@ func FederationSpecs(cfg FederationConfig) []Spec {
 					row.Capped = leaf.Controller().SuggestionsCapped
 					// Domain isolation: every receiver the leaf ever
 					// registered lies inside its scope.
-					scope := w.ScopeFor[d]
 					for _, r := range leaf.Controller().RegisteredReceivers() {
-						if !scope[r.Node] {
+						if !w.ScopeFor[d][r.Node] {
 							row.CrossDomain++
 						}
 					}
@@ -198,8 +176,6 @@ func FederationSpecs(cfg FederationConfig) []Spec {
 			}
 			return append([]FederationRow{allRow}, rows...), nil
 		})
-
-	return []Spec{flat, fed}
 }
 
 // RunFederation executes both variants and returns their rows.

@@ -74,7 +74,7 @@ func TestFederationConvergenceAndIsolation(t *testing.T) {
 
 // newFedRunWorld builds a federated world on a parsed topology spec with the
 // requested engine flavour.
-func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *FedWorld {
+func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *World {
 	t.Helper()
 	_, tcfg, err := topology.Parse(specStr)
 	if err != nil {
@@ -85,17 +85,13 @@ func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *FedWo
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewFedWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return NewWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR, Federate: true})
 }
 
 // fedCanonical reduces a federated run to its model-visible outcomes: every
 // receiver's full subscription trace, the parent's budget state per domain,
 // each leaf's export/cap counters, and the events-fired meter.
-func fedCanonical(w *FedWorld) string {
+func fedCanonical(w *World) string {
 	var sb strings.Builder
 	traces, optima := w.AllTraces()
 	for i, tr := range traces {
@@ -128,7 +124,7 @@ func TestFederationShardEquivalence(t *testing.T) {
 	}
 	const spec = "tiered,fanout=2:2,rxleaf=2"
 	const dur = 60 * sim.Second
-	serial := fedCanonical(func() *FedWorld { w := newFedRunWorld(t, spec, 1, 0); w.Run(dur); return w }())
+	serial := fedCanonical(func() *World { w := newFedRunWorld(t, spec, 1, 0); w.Run(dur); return w }())
 	for _, shards := range []int{2, 4} {
 		w := newFedRunWorld(t, spec, 1, shards)
 		w.Run(dur)
@@ -138,9 +134,11 @@ func TestFederationShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFedWorldRejects pins NewFedWorld's input contract: no domain labels and
-// the -aggregate combination are errors, not silent fallbacks.
-func TestFedWorldRejects(t *testing.T) {
+// TestFederationRejects pins the federated plane's input contract: no domain
+// labels and the -aggregate combination are errors, not silent fallbacks —
+// WorldConfig.Validate reports them and NewWorld panics with the same
+// message.
+func TestFederationRejects(t *testing.T) {
 	e := NewRunEngine(1, 0)
 	_, tcfg, err := topology.Parse("tiered,fanout=2:2,rxleaf=2")
 	if err != nil {
@@ -150,13 +148,26 @@ func TestFedWorldRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFedWorld(e, b, WorldConfig{Seed: 1, Aggregate: true}); err == nil {
-		t.Error("NewFedWorld accepted Aggregate: true")
+	rejects := func(cfg WorldConfig, what string) {
+		t.Helper()
+		err := cfg.Validate(b)
+		if err == nil {
+			t.Errorf("Validate accepted %s", what)
+			return
+		}
+		defer func() {
+			if p := recover(); p != err.Error() {
+				t.Errorf("NewWorld with %s panicked with %v, want %q", what, p, err)
+			}
+		}()
+		NewWorld(e, b, cfg)
 	}
+	rejects(WorldConfig{Seed: 1, Federate: true, Aggregate: true}, "Aggregate: true")
 	saved := b.Domains
 	b.Domains = nil
-	if _, err := NewFedWorld(e, b, WorldConfig{Seed: 1}); err == nil {
-		t.Error("NewFedWorld accepted a build without domain labels")
+	rejects(WorldConfig{Seed: 1, Federate: true}, "a build without domain labels")
+	if err := (WorldConfig{Seed: 1}).Validate(b); err != nil {
+		t.Errorf("flat config rejected: %v", err)
 	}
 	b.Domains = saved
 }

@@ -178,3 +178,16 @@ func TestGoldenShardedDeterminism(t *testing.T) {
 	checkGolden(t, "6", "golden_fig6_quick_sharded.json", 4)
 	checkGolden(t, "7", "golden_fig7_quick_sharded.json", 4)
 }
+
+// TestGoldenFederationDeterminism locks the hierarchical control plane: the
+// quick fig_federation sweep (one flat and one federated run on the same
+// tiered topology) must be bit-reproducible for a fixed seed. It pins the
+// federated world's construction and start order — scoped leaf
+// controllers, per-leaf RNG streams, the parent's reconcile pass — so any
+// refactor of how that plane is wired shows up here as a diff.
+func TestGoldenFederationDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick fig_federation sweep is a fraction of a second of simulation")
+	}
+	checkGolden(t, "fig_federation", "golden_federation_quick.json", 0)
+}

@@ -7,6 +7,7 @@ import (
 
 	"toposense/internal/obs"
 	"toposense/internal/sim"
+	"toposense/internal/topology"
 )
 
 // obsSpec is a small Topology B run whose rows are the receivers' final
@@ -113,4 +114,39 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 	if b := marshalIndent(t, plain); bytes.Contains(b, []byte(`"obs"`)) {
 		t.Errorf("obs key leaked into the default result schema:\n%s", b)
 	}
+}
+
+// TestObserveWorldWiresAggregation: a world observed through
+// Meter.ObserveWorld feeds its aggregation layer's counters into the
+// export, so the exported agg_reports_absorbed equals the aggregator's own
+// count — and the run absorbs enough reports for that to mean something.
+func TestObserveWorldWiresAggregation(t *testing.T) {
+	const dur = 20 * sim.Second
+	var absorbed int64
+	s := NewSpec("obstest", "obstest/tree/agg", 1, dur, func(m *Meter) (any, error) {
+		e := NewRunEngine(1, 0)
+		b := topology.MustGenerate(e, &topology.TreeConfig{Depth: 3, Branch: 4, ReceiversPerLeaf: 2})
+		w := NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
+		m.ObserveWorld(w)
+		w.Run(dur)
+		absorbed = w.Aggregator.Absorbed
+		return nil, nil
+	})
+	s.Obs = &obs.Options{}
+	r := s.Execute(0)
+	if r.Failed() {
+		t.Fatalf("run failed: %s", r.Err)
+	}
+	if absorbed == 0 {
+		t.Fatal("the aggregator absorbed no reports")
+	}
+	for _, c := range r.Obs.Counters {
+		if c.Name == "agg_reports_absorbed" {
+			if c.Value != absorbed {
+				t.Errorf("exported agg_reports_absorbed %d, aggregator absorbed %d", c.Value, absorbed)
+			}
+			return
+		}
+	}
+	t.Error("export has no agg_reports_absorbed counter")
 }

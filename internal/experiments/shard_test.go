@@ -51,7 +51,9 @@ func runShardWorld(t *testing.T, specStr string, seed int64, shards int, dur sim
 	}
 	o := obs.New(obs.Options{FlightRecorder: -1})
 	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: VBR3})
-	w.WireObs(o)
+	b.Net.AttachProbe(obs.NewNetProbe(o))
+	o.ObserveEngine(e)
+	w.SetObs(o)
 	w.Run(dur)
 	return w, o
 }

@@ -97,16 +97,12 @@ func (m *Meter) Observe(e sim.Runner, n *netsim.Network) {
 	}
 }
 
-// ObserveWorld registers a World's engine and network, and — when the run
-// has observability enabled — wires the bundle into the world's multicast
-// domain and controller as well (the packet probe and engine registration
-// come from Observe).
+// ObserveWorld registers a World's engine and network, and wires the run's
+// observability bundle (if any) into the world's control plane through
+// World.SetObs. The packet probe and engine registration come from Observe.
 func (m *Meter) ObserveWorld(w *World) {
 	m.Observe(w.Engine, w.Net)
-	if m.obs != nil {
-		w.Domain.SetObs(m.obs)
-		w.Controller.SetObs(m.obs)
-	}
+	w.SetObs(m.obs)
 }
 
 // TimedOut reports whether the watchdog stopped an observed engine.
