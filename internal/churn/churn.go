@@ -36,7 +36,6 @@ import (
 // partitioned networks: every transition runs at a window barrier.
 type Driver struct {
 	sched sim.Scheduler // global (stop-the-world) context
-	o     *obs.Obs
 
 	// Joins and Leaves count transitions applied. All mutation happens in
 	// the single-threaded global context; read them while the engine is
@@ -53,9 +52,15 @@ func New(net *netsim.Network) *Driver {
 	return &Driver{sched: sim.GlobalOf(net.Engine())}
 }
 
-// SetObs wires the observability bundle; churn transitions then feed the
-// churn_joins / churn_leaves counters.
-func (d *Driver) SetObs(o *obs.Obs) { d.o = o }
+// SetObs registers the Joins and Leaves counts with o as churn_joins /
+// churn_leaves. Nil is a no-op.
+func (d *Driver) SetObs(o *obs.Obs) {
+	if o == nil {
+		return
+	}
+	o.Reg.CounterOf("churn_joins", &d.Joins)
+	o.Reg.CounterOf("churn_leaves", &d.Leaves)
+}
 
 // Slots returns how many membership slots are registered.
 func (d *Driver) Slots() int { return d.slots }
@@ -79,9 +84,6 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		}
 		leave()
 		d.Leaves++
-		if d.o != nil {
-			d.o.ChurnLeaves.Inc()
-		}
 		d.track(d.sched.Schedule(d.exp(meanOff), up))
 	}
 	up = func() {
@@ -90,9 +92,6 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		}
 		join()
 		d.Joins++
-		if d.o != nil {
-			d.o.ChurnJoins.Inc()
-		}
 		d.track(d.sched.Schedule(d.exp(meanOn), down))
 	}
 	d.slots++

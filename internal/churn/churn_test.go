@@ -135,10 +135,10 @@ func TestObsCounters(t *testing.T) {
 	if d.Joins == 0 {
 		t.Fatal("no joins in 200s")
 	}
-	if got := o.ChurnJoins.Value(); got != d.Joins {
+	if got := o.Reg.Counter("churn_joins").Value(); got != d.Joins {
 		t.Fatalf("churn_joins counter %d, driver %d", got, d.Joins)
 	}
-	if got := o.ChurnLeaves.Value(); got != d.Leaves {
+	if got := o.Reg.Counter("churn_leaves").Value(); got != d.Leaves {
 		t.Fatalf("churn_leaves counter %d, driver %d", got, d.Leaves)
 	}
 }

@@ -147,12 +147,13 @@ type Controller struct {
 	// the duration of the call; copy it to retain.
 	OnStep func(now sim.Time, in core.Input, out []core.Suggestion)
 
-	// obs, when set via SetObs, receives the pass counter, the
-	// pass-distance histogram, flight-recorder pass events, and the
-	// per-pass decision audit.
-	obs           *obs.Obs
-	lastPassFired uint64
-	lastPassMsgs  int64
+	// Set by SetObs: obs takes pass events and the decision audit;
+	// passEvents observes the engine events between passes, fanIn the
+	// control messages consumed per pass.
+	obs               *obs.Obs
+	passEvents, fanIn *obs.Histogram
+	lastPassFired     uint64
+	lastPassMsgs      int64
 }
 
 // New creates a controller at node using the given discovery tool and
@@ -190,10 +191,21 @@ func (c *Controller) nodeSched() sim.Scheduler { return c.net.SchedulerFor(c.nod
 // Algorithm returns the underlying TopoSense instance.
 func (c *Controller) Algorithm() *core.Algorithm { return c.alg }
 
-// SetObs attaches the observability bundle. Pass nil (the default) for
-// zero-overhead operation: the only cost left is one pointer check per
-// decision interval.
-func (c *Controller) SetObs(o *obs.Obs) { c.obs = o }
+// SetObs attaches the observability bundle and registers StepsRun,
+// SuggestionsCapped and the pass histograms with it. Nil (the default) is
+// a no-op: the only cost left is one pointer check per decision interval.
+func (c *Controller) SetObs(o *obs.Obs) {
+	if o == nil {
+		return
+	}
+	c.obs = o
+	o.Reg.CounterOf("controller_passes", &c.StepsRun)
+	o.Reg.CounterOf("federation_capped_suggestions", &c.SuggestionsCapped)
+	c.passEvents = o.Reg.Histogram("controller_pass_events",
+		[]float64{100, 300, 1000, 3000, 10000, 30000, 100000, 300000})
+	c.fanIn = o.Reg.Histogram("controller_fanin",
+		[]float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000})
+}
 
 // EnableAggregation switches the suggestion fan-out from per-receiver
 // unicasts to one pooled SuggestionBatch per next hop, for worlds running an
@@ -563,9 +575,6 @@ func (c *Controller) step() {
 			if lim, ok := c.levelCap[out[i].Session]; ok && out[i].Level > lim {
 				out[i].Level = lim
 				c.SuggestionsCapped++
-				if c.obs != nil {
-					c.obs.FedCapped.Inc()
-				}
 			}
 		}
 	}
@@ -647,7 +656,7 @@ func (c *Controller) step() {
 		}
 	}
 	if c.obs != nil {
-		c.obs.FanIn.Observe(float64(c.CtlMsgsRecv - c.lastPassMsgs))
+		c.fanIn.Observe(float64(c.CtlMsgsRecv - c.lastPassMsgs))
 		c.lastPassMsgs = c.CtlMsgsRecv
 		var fired uint64
 		// Schedulers expose the fired-event counter only through their
@@ -657,8 +666,7 @@ func (c *Controller) step() {
 		}
 		since := fired - c.lastPassFired
 		c.lastPassFired = fired
-		c.obs.Passes.Inc()
-		c.obs.PassEvents.Observe(float64(since))
+		c.passEvents.Observe(float64(since))
 		c.obs.Rec.Record(obs.Event{
 			At: now, Kind: obs.EvPass,
 			From: int32(c.node.ID), To: -1, Session: -1,

@@ -492,11 +492,14 @@ func TestControllerObsAudit(t *testing.T) {
 	w.start()
 	w.e.RunUntil(30 * sim.Second)
 
-	if got, steps := o.Passes.Value(), w.ctrl.StepsRun; got != steps {
-		t.Errorf("obs passes = %d, StepsRun = %d", got, steps)
+	passCount := o.Reg.Counter("controller_passes").Value()
+	if steps := w.ctrl.StepsRun; passCount != steps || steps == 0 {
+		t.Errorf("obs passes = %d, StepsRun = %d", passCount, steps)
 	}
-	if o.PassEvents.Count() != o.Passes.Value() {
-		t.Errorf("pass-events observations = %d, passes = %d", o.PassEvents.Count(), o.Passes.Value())
+	for _, h := range o.Reg.Histograms() {
+		if h.Count() != passCount {
+			t.Errorf("%s observations = %d, passes = %d", h.Name(), h.Count(), passCount)
+		}
 	}
 	passes := o.Audit.Passes()
 	if int64(len(passes)) != o.Audit.Total() || len(passes) == 0 {

@@ -7,6 +7,7 @@ import (
 	"toposense/internal/netsim"
 	"toposense/internal/report"
 	"toposense/internal/sim"
+	"toposense/internal/topology"
 )
 
 // TestAggregateRidesOutRepair is the -failat + -aggregate regression: cut
@@ -186,7 +187,9 @@ func TestShardAggregateDecisionEquivalence(t *testing.T) {
 	}
 	const dur = 120 * sim.Second
 	mk := func(shards int, aggregate bool) *World {
-		w := NewWorldB(4, WorldConfig{Seed: 1, Traffic: CBR, Shards: shards, Aggregate: aggregate})
+		e := NewRunEngine(1, shards)
+		b := topology.MustGenerate(e, &topology.BConfig{Sessions: 4})
+		w := NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: aggregate})
 		w.Run(dur)
 		return w
 	}

@@ -195,16 +195,18 @@ func BaselineSpecs(cfg BaselineConfig) []Spec {
 				} else {
 					b = topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
 				}
-				m.Observe(e, b.Net)
 				var traces []*metrics.Trace
 				var optima []int
 				wc := WorldConfig{Seed: cfg.Seed, Traffic: tr}
 				if topoSense {
 					w := NewWorld(e, b, wc)
+					m.ObserveWorld(w)
 					w.Run(cfg.Duration)
 					traces, optima = w.AllTraces()
 				} else {
 					w := NewRLMWorld(e, b, wc)
+					m.Observe(e, b.Net)
+					w.SetObs(m.Obs())
 					w.Run(cfg.Duration)
 					traces, optima = w.AllTraces()
 				}

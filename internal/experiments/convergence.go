@@ -106,7 +106,7 @@ func runConvergence(cfg ConvergenceConfig, m *Meter) []ConvergenceRow {
 	}
 
 	w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
-	m.Observe(e, n)
+	m.ObserveWorld(w)
 	w.Run(cfg.Duration)
 
 	var rows []ConvergenceRow

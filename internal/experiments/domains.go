@@ -162,6 +162,10 @@ func DomainsSpecs(cfg DomainsConfig) []Spec {
 					w := buildDomainsWorld(runCfg)
 					w.wire(runCfg, perDomain)
 					m.Observe(w.engine, w.net)
+					w.domain.SetObs(m.Obs())
+					for _, c := range w.controllers {
+						c.SetObs(m.Obs())
+					}
 					w.engine.RunUntil(cfg.Duration)
 					var rows []DomainRow
 					for d := 0; d < 2; d++ {

@@ -119,7 +119,7 @@ func GranularitySpecs(cfg ExtensionConfig) []Spec {
 						Layers:          len(g.rates),
 					})
 					w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: cfg.Traffic, Rates: g.rates})
-					m.Observe(e, b.Net)
+					m.ObserveWorld(w)
 					optimal := source.LevelForBandwidth(g.rates, g.bottle)
 					w.Run(cfg.Duration)
 					traces, _ := w.AllTraces()
@@ -230,8 +230,9 @@ func RunIntervalSize(cfg ExtensionConfig) []ExtensionRow {
 func worldBWithOverrides(seed int64, wc WorldConfig, m *Meter) *World {
 	e := sim.NewEngine(seed)
 	b := topology.MustGenerate(e, &topology.BConfig{Sessions: 4})
-	m.Observe(e, b.Net)
-	return NewWorld(e, b, wc)
+	w := NewWorld(e, b, wc)
+	m.ObserveWorld(w)
+	return w
 }
 
 // firstTimeAt returns the first instant the trace reaches level target, or

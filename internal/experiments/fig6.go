@@ -5,6 +5,7 @@ import (
 
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
+	"toposense/internal/topology"
 )
 
 // StabilityRow is one point of Figure 6 or 7: for a receiver/session count
@@ -24,7 +25,7 @@ type Fig6Config struct {
 	Duration sim.Time  // 0 = the paper's 1200 s
 	PerSet   []int     // receivers per set; nil = {1, 2, 4, 8}
 	Traffic  []Traffic // nil = AllTraffic
-	Shards   int       // engine worker count; <= 1 = single-threaded
+	Shards   int       // engine worker count; 0 = single-threaded engine (see NewRunEngine)
 }
 
 func (c *Fig6Config) normalize() {
@@ -48,7 +49,9 @@ func Fig6Specs(cfg Fig6Config) []Spec {
 				fmt.Sprintf("fig6/rx=%d/%s", 2*per, tr.Name),
 				cfg.Seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := NewWorldA(per, WorldConfig{Seed: cfg.Seed, Traffic: tr, Shards: cfg.Shards})
+					e := NewRunEngine(cfg.Seed, cfg.Shards)
+					b := topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: per})
+					w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: tr})
 					m.ObserveWorld(w)
 					w.Run(cfg.Duration)
 					traces, _ := w.AllTraces()

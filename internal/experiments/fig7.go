@@ -5,6 +5,7 @@ import (
 
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
+	"toposense/internal/topology"
 )
 
 // Fig7Config parameterizes the Topology B stability experiment.
@@ -13,7 +14,7 @@ type Fig7Config struct {
 	Duration sim.Time  // 0 = the paper's 1200 s
 	Sessions []int     // nil = {2, 4, 8, 16}
 	Traffic  []Traffic // nil = AllTraffic
-	Shards   int       // engine worker count; <= 1 = single-threaded
+	Shards   int       // engine worker count; 0 = single-threaded engine (see NewRunEngine)
 }
 
 func (c *Fig7Config) normalize() {
@@ -38,7 +39,9 @@ func Fig7Specs(cfg Fig7Config) []Spec {
 				fmt.Sprintf("fig7/sessions=%d/%s", sessions, tr.Name),
 				cfg.Seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(sessions, WorldConfig{Seed: cfg.Seed, Traffic: tr, Shards: cfg.Shards})
+					e := NewRunEngine(cfg.Seed, cfg.Shards)
+					b := topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
+					w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: tr})
 					m.ObserveWorld(w)
 					w.Run(cfg.Duration)
 					traces, _ := w.AllTraces()

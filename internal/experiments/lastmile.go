@@ -117,7 +117,7 @@ func runLastMileDepth(cfg LastMileConfig, di int, where string, m *Meter) LastMi
 	}
 
 	w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
-	m.Observe(e, n)
+	m.ObserveWorld(w)
 	w.Run(cfg.Duration)
 	traces, optima := w.AllTraces()
 	var conTr, freeTr []*metrics.Trace

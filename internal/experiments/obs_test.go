@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"toposense/internal/netsim"
 	"toposense/internal/obs"
 	"toposense/internal/sim"
 	"toposense/internal/topology"
@@ -116,37 +118,227 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestObserveWorldWiresAggregation: a world observed through
-// Meter.ObserveWorld feeds its aggregation layer's counters into the
-// export, so the exported agg_reports_absorbed equals the aggregator's own
-// count — and the run absorbs enough reports for that to mean something.
-func TestObserveWorldWiresAggregation(t *testing.T) {
-	const dur = 20 * sim.Second
-	var absorbed int64
-	s := NewSpec("obstest", "obstest/tree/agg", 1, dur, func(m *Meter) (any, error) {
-		e := NewRunEngine(1, 0)
-		b := topology.MustGenerate(e, &topology.TreeConfig{Depth: 3, Branch: 4, ReceiversPerLeaf: 2})
-		w := NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
-		m.ObserveWorld(w)
-		w.Run(dur)
-		absorbed = w.Aggregator.Absorbed
-		return nil, nil
-	})
-	s.Obs = &obs.Options{}
-	r := s.Execute(0)
-	if r.Failed() {
-		t.Fatalf("run failed: %s", r.Err)
+// ownerSums maps every counter a world's components own to the sum of the
+// component fields behind it — the instrument → field table of DESIGN.md
+// §6. Keys exist only for components the world built.
+func ownerSums(w *World) map[string]int64 {
+	sums := map[string]int64{
+		"mcast_grafts":  w.Domain.Grafts,
+		"mcast_prunes":  w.Domain.Prunes,
+		"mcast_repairs": w.Domain.Repairs,
 	}
-	if absorbed == 0 {
-		t.Fatal("the aggregator absorbed no reports")
+	for _, c := range w.Controllers {
+		sums["controller_passes"] += c.StepsRun
+		sums["federation_capped_suggestions"] += c.SuggestionsCapped
 	}
-	for _, c := range r.Obs.Counters {
-		if c.Name == "agg_reports_absorbed" {
-			if c.Value != absorbed {
-				t.Errorf("exported agg_reports_absorbed %d, aggregator absorbed %d", c.Value, absorbed)
-			}
-			return
+	if a := w.Aggregator; a != nil {
+		sums["agg_reports_absorbed"] = a.Absorbed
+		sums["agg_merges"] = a.Merged
+		sums["agg_flushes"] = a.Flushes
+		sums["agg_batches"] = a.Batches
+	}
+	if p := w.Parent; p != nil {
+		sums["federation_exports"] = p.ExportsRecv
+		sums["federation_reconciles"] = p.Reconciles
+		sums["federation_budget_churn"] = p.BudgetChanges
+	}
+	if d := w.Churn; d != nil {
+		sums["churn_joins"] = d.Joins
+		sums["churn_leaves"] = d.Leaves
+	}
+	return sums
+}
+
+// checkExportOwners asserts the export contract: the exported counters are
+// exactly the owned ones (want) plus the packet probe's link_* counters,
+// each owned counter equals the sum of its owner fields, and the probe's
+// link_* counters agree with the links' own statistics.
+func checkExportOwners(t *testing.T, d *obs.Dump, want map[string]int64, links []*netsim.Link) {
+	t.Helper()
+	got := make(map[string]int64)
+	for _, c := range d.Counters {
+		got[c.Name] = c.Value
+	}
+	for name, v := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("export lacks %s (owner fields sum to %d)", name, v)
+		} else if g != v {
+			t.Errorf("exported %s = %d, owner fields sum to %d", name, g, v)
 		}
 	}
-	t.Error("export has no agg_reports_absorbed counter")
+	// Probe-owned: link_delivers counts arrivals, so it trails the links'
+	// Delivered (serialization done) by the packets still propagating.
+	var enq, drop int64
+	for _, l := range links {
+		enq += l.Stats().Enqueued
+		drop += l.Stats().Dropped
+	}
+	if got["link_enqueues"] != enq {
+		t.Errorf("exported link_enqueues = %d, links enqueued %d", got["link_enqueues"], enq)
+	}
+	for _, pair := range [][2]string{{"link_drops_queue", "link_drops_down"}, {"link_drops_data", "link_drops_control"}} {
+		if v := got[pair[0]] + got[pair[1]]; v != drop {
+			t.Errorf("%s + %s = %d, links dropped %d", pair[0], pair[1], v, drop)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok && !strings.HasPrefix(name, "link_") {
+			t.Errorf("export carries %s, which no component of the run owns", name)
+		}
+	}
+	if want["mcast_grafts"] == 0 {
+		t.Error("the run grafted nothing; the comparison is vacuous")
+	}
+}
+
+// TestObserveWorldWiresAggregation: in each observed world every exported
+// counter is a view of the counts its owning components keep — summed over
+// owners where a world has several (every leaf controller feeds
+// controller_passes) — and components a world never built export nothing.
+// The sharded case reads the pulled counters after a run whose shards
+// updated them concurrently.
+func TestObserveWorldWiresAggregation(t *testing.T) {
+	const dur, period = 40 * sim.Second, 8 * sim.Second
+	cases := []struct {
+		name  string
+		build func() (*World, *netsim.Network)
+	}{
+		{"tree/agg/churn/sharded", func() (*World, *netsim.Network) {
+			e := sim.NewShardedEngine(1, 2)
+			b := topology.MustGenerate(e, &topology.TreeConfig{Depth: 3, Branch: 4, ReceiversPerLeaf: 2})
+			return NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true}), b.Net
+		}},
+		{"tiered/federated", func() (*World, *netsim.Network) {
+			e := sim.NewEngine(1)
+			b := topology.MustGenerate(e, &topology.TieredConfig{Seed: 1, FanOut: []int{2, 2},
+				Bandwidth: []float64{10e6, 600e3}, ReceiversPerLeaf: 2})
+			return NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Federate: true}), b.Net
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want map[string]int64
+			var links []*netsim.Link
+			s := NewSpec("obstest", "obstest/"+tc.name, 1, dur, func(m *Meter) (any, error) {
+				w, net := tc.build()
+				m.ObserveWorld(w)
+				if w.Aggregator != nil {
+					for i := range w.Receivers[0] {
+						w.ChurnSlot(0, i, period)
+					}
+				}
+				w.Run(dur)
+				if w.Parent != nil && len(w.Controllers) < 2 {
+					t.Errorf("federated world has %d controllers; the sum over owners is untested", len(w.Controllers))
+				}
+				want, links = ownerSums(w), net.Links()
+				return nil, nil
+			})
+			s.Obs = &obs.Options{}
+			r := s.Execute(0)
+			if r.Failed() {
+				t.Fatalf("run failed: %s", r.Err)
+			}
+			checkExportOwners(t, r.Obs, want, links)
+			for _, name := range []string{"controller_passes", "agg_reports_absorbed", "churn_joins", "federation_exports"} {
+				if _, built := want[name]; built && want[name] == 0 {
+					t.Errorf("%s is 0; the run exercised nothing there", name)
+				}
+			}
+		})
+	}
+
+	t.Run("B/rlm/churn", func(t *testing.T) {
+		var want map[string]int64
+		var links []*netsim.Link
+		s := NewSpec("obstest", "obstest/B/rlm", 1, dur, func(m *Meter) (any, error) {
+			e := sim.NewEngine(1)
+			b := topology.MustGenerate(e, &topology.BConfig{Sessions: 4})
+			w := NewRLMWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR})
+			m.Observe(e, b.Net)
+			w.SetObs(m.Obs())
+			for s := range w.Receivers {
+				w.ChurnSlot(s, 0, period)
+			}
+			w.Run(dur)
+			want = map[string]int64{
+				"mcast_grafts":  w.Domain.Grafts,
+				"mcast_prunes":  w.Domain.Prunes,
+				"mcast_repairs": w.Domain.Repairs,
+				"churn_joins":   w.Churn.Joins,
+				"churn_leaves":  w.Churn.Leaves,
+			}
+			links = b.Net.Links()
+			return nil, nil
+		})
+		s.Obs = &obs.Options{}
+		r := s.Execute(0)
+		if r.Failed() {
+			t.Fatalf("run failed: %s", r.Err)
+		}
+		checkExportOwners(t, r.Obs, want, links)
+		if want["churn_joins"] == 0 {
+			t.Error("no churn joins in the run")
+		}
+	})
+}
+
+// TestObserveFixedExperiments: every registry experiment wires its control
+// plane into an observed run's export — the multicast domain always, the
+// controllers wherever the run has one. RLM arms have no controller, so
+// they must export no controller instrument at all.
+func TestObserveFixedExperiments(t *testing.T) {
+	cases := []struct {
+		figure, name string
+		controller   bool
+	}{
+		{"baseline", "baseline/topo=B/CBR/TopoSense", true},
+		{"baseline", "baseline/topo=B/CBR/RLM", false},
+		{"queues", "queues/droptail+toposense", true},
+		{"queues", "queues/droptail+rlm", false},
+		{"convergence", "convergence/CBR", true},
+		{"lastmile", "lastmile/backbone", true},
+		{"extensions", "extensions/granularity/6-layers/seed=1", true},
+		{"extensions", "extensions/leave/1.000000s/seed=1", true},
+		{"extensions", "extensions/interval/8.000000s/seed=1", true},
+		{"domains", "domains/global/seed=1", true},
+		{"domains", "domains/per-domain/seed=1", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, ok := Lookup(tc.figure)
+			if !ok {
+				t.Fatalf("figure %s missing from registry", tc.figure)
+			}
+			var spec *Spec
+			for _, s := range ex.Specs(SweepConfig{Seed: 1, Quick: true}) {
+				if s.Name == tc.name {
+					spec = &s
+					break
+				}
+			}
+			if spec == nil {
+				t.Fatalf("no quick spec named %s", tc.name)
+			}
+			spec.Obs = &obs.Options{AuditPasses: -1}
+			r := spec.Execute(0)
+			if r.Failed() {
+				t.Fatalf("run failed: %s", r.Err)
+			}
+			got := make(map[string]int64)
+			for _, c := range r.Obs.Counters {
+				got[c.Name] = c.Value
+			}
+			if got["mcast_grafts"] <= 0 {
+				t.Errorf("mcast_grafts = %d, want > 0", got["mcast_grafts"])
+			}
+			passes, has := got["controller_passes"]
+			switch {
+			case tc.controller && passes <= 0:
+				t.Errorf("controller_passes = %d, want > 0", passes)
+			case !tc.controller && has:
+				t.Errorf("a run without a controller exports controller_passes = %d", passes)
+			}
+		})
+	}
 }

@@ -66,7 +66,6 @@ func QueuePolicySpecs(cfg QueueConfig) []Spec {
 			func(m *Meter) (any, error) {
 				e := sim.NewEngine(cfg.Seed)
 				b := topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
-				m.Observe(e, b.Net)
 				for _, l := range b.Net.Links() {
 					l.Policy = v.policy
 				}
@@ -76,6 +75,7 @@ func QueuePolicySpecs(cfg QueueConfig) []Spec {
 				lossSum, lossN := 0.0, 0
 				if v.toposense {
 					w := NewWorld(e, b, wc)
+					m.ObserveWorld(w)
 					sim.Every(sim.GlobalOf(w.Engine), sim.Second, func() {
 						for _, rxs := range w.Receivers {
 							lossSum += rxs[0].LastLoss
@@ -86,6 +86,8 @@ func QueuePolicySpecs(cfg QueueConfig) []Spec {
 					traces, optima = w.AllTraces()
 				} else {
 					w := NewRLMWorld(e, b, wc)
+					m.Observe(e, b.Net)
+					w.SetObs(m.Obs())
 					w.Run(cfg.Duration)
 					traces, optima = w.AllTraces()
 				}

@@ -102,11 +102,6 @@ type WorldConfig struct {
 	// ProbeDiscovery switches topology discovery to the mtrace-style
 	// hop-by-hop probe mode instead of the instantaneous oracle.
 	ProbeDiscovery bool
-	// Shards selects the engine the NewWorldA/NewWorldB helpers build: 0
-	// or 1 is the single-threaded oracle, N > 1 the conservative sharded
-	// engine with N workers. Results are byte-identical either way — only
-	// wall-clock changes. Ignored by NewWorld, which takes the engine.
-	Shards int
 	// Aggregate installs the in-network feedback aggregation layer: tree
 	// nodes fold upward loss reports into per-subtree report.Aggregates and
 	// the controller fans suggestions out as batched per-next-hop packets.
@@ -456,17 +451,18 @@ func NewRunEngine(seed int64, shards int) sim.Runner {
 	return sim.NewEngine(seed)
 }
 
-// NewWorldA builds the paper's Topology A world.
+// NewWorldA builds the paper's Topology A world on the single-threaded
+// engine.
 func NewWorldA(receiversPerSet int, cfg WorldConfig) *World {
-	e := NewRunEngine(cfg.Seed, cfg.Shards)
+	e := sim.NewEngine(cfg.Seed)
 	b := topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: receiversPerSet})
 	return NewWorld(e, b, cfg)
 }
 
 // NewWorldB builds the paper's Topology B world with the given number of
-// competing sessions.
+// competing sessions on the single-threaded engine.
 func NewWorldB(sessions int, cfg WorldConfig) *World {
-	e := NewRunEngine(cfg.Seed, cfg.Shards)
+	e := sim.NewEngine(cfg.Seed)
 	b := topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
 	return NewWorld(e, b, cfg)
 }

@@ -95,7 +95,9 @@ type Parent struct {
 	BudgetChanges      int64 // budget entries pushed down (the churn number)
 	ReconcileWallNanos int64 // host wall time inside reconcile (reporting only)
 
-	obs *obs.Obs
+	// Set by SetObs: reconcile host wall latency (µs, reporting only) and
+	// the budget levels pushed down.
+	reconcileUs, budgetLevel *obs.Histogram
 }
 
 // NewParent creates the parent controller at node. rates are the session
@@ -114,8 +116,20 @@ func NewParent(net *netsim.Network, node *netsim.Node, rates []float64, interval
 	return p
 }
 
-// SetObs attaches the observability bundle; nil keeps the zero-overhead path.
-func (p *Parent) SetObs(o *obs.Obs) { p.obs = o }
+// SetObs registers the parent's counts and reconcile histograms with o.
+// Nil is a no-op.
+func (p *Parent) SetObs(o *obs.Obs) {
+	if o == nil {
+		return
+	}
+	o.Reg.CounterOf("federation_exports", &p.ExportsRecv)
+	o.Reg.CounterOf("federation_reconciles", &p.Reconciles)
+	o.Reg.CounterOf("federation_budget_churn", &p.BudgetChanges)
+	p.reconcileUs = o.Reg.Histogram("federation_reconcile_us",
+		[]float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000})
+	p.budgetLevel = o.Reg.Histogram("federation_budget_level",
+		[]float64{1, 2, 3, 4, 5, 6, 8, 12, 15})
+}
 
 // Node returns the node the parent runs on.
 func (p *Parent) Node() *netsim.Node { return p.node }
@@ -214,9 +228,6 @@ func (p *Parent) Recv(pkt *netsim.Packet) {
 		return // an unregistered domain's export is dropped, not acted on
 	}
 	p.ExportsRecv++
-	if p.obs != nil {
-		p.obs.FedExports.Inc()
-	}
 	ds.latest = e
 }
 
@@ -311,11 +322,8 @@ func (p *Parent) reconcile() {
 			ds.changes += int64(len(changed))
 			ds.lastChange = now
 			p.BudgetChanges += int64(len(changed))
-			if p.obs != nil {
-				for _, cb := range changed {
-					p.obs.FedBudgetChurn.Inc()
-					p.obs.FedBudgetLevel.Observe(float64(cb.MaxLevel))
-				}
+			for _, cb := range changed {
+				p.budgetLevel.Observe(float64(cb.MaxLevel))
 			}
 			bu := &BudgetUpdate{Domain: ds.cfg.Domain, Sent: now, Budgets: changed}
 			p.node.SendUnicast(report.NewControlPacket(p.node.ID, ds.cfg.Leaf, bu.WireSize(), now, bu))
@@ -324,8 +332,5 @@ func (p *Parent) reconcile() {
 	p.Reconciles++
 	wall := int64(time.Since(start))
 	p.ReconcileWallNanos += wall
-	if p.obs != nil {
-		p.obs.FedReconciles.Inc()
-		p.obs.FedReconcileUs.Observe(float64(wall) / 1e3)
-	}
+	p.reconcileUs.Observe(float64(wall) / 1e3)
 }

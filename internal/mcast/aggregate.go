@@ -59,8 +59,6 @@ type Aggregator struct {
 	Purged int64
 
 	stopped bool
-
-	obs *obs.Obs
 }
 
 // pendingAgg is one session's accumulating aggregate at one node. The slot
@@ -120,13 +118,17 @@ func (a *Aggregator) install(n *netsim.Node) {
 	n.AttachAgent(a)
 }
 
-// SetObs attaches an observability bundle; nil detaches it. Safe on a nil
-// receiver, so worlds can wire it unconditionally.
+// SetObs registers the aggregator's Absorbed, Merged, Flushes and Batches
+// counts with o. Safe on a nil receiver and a nil o, so worlds can wire it
+// unconditionally.
 func (a *Aggregator) SetObs(o *obs.Obs) {
-	if a == nil {
+	if a == nil || o == nil {
 		return
 	}
-	a.obs = o
+	o.Reg.CounterOf("agg_reports_absorbed", &a.Absorbed)
+	o.Reg.CounterOf("agg_merges", &a.Merged)
+	o.Reg.CounterOf("agg_flushes", &a.Flushes)
+	o.Reg.CounterOf("agg_batches", &a.Batches)
 }
 
 // FlushInterval returns the per-node flush cadence.
@@ -174,9 +176,6 @@ func (a *Aggregator) FilterTransit(n *netsim.Node, p *netsim.Packet) bool {
 	case report.LossReport:
 		a.pending(n.ID, pl.Session).Fold(pl)
 		atomic.AddInt64(&a.Absorbed, 1)
-		if a.obs != nil {
-			a.obs.AggAbsorbed.Inc()
-		}
 	case *report.Aggregate:
 		if pl.Origin == n.ID {
 			return false // our own flush leaving this node
@@ -184,9 +183,6 @@ func (a *Aggregator) FilterTransit(n *netsim.Node, p *netsim.Packet) bool {
 		a.pending(n.ID, pl.Session).Merge(pl)
 		pl.Release()
 		atomic.AddInt64(&a.Merged, 1)
-		if a.obs != nil {
-			a.obs.AggMerges.Inc()
-		}
 	case report.Deregister:
 		// Pass through — the controller must still consume it — but purge
 		// the departed receiver's pending entries at this hop. The packet
@@ -311,9 +307,6 @@ func (a *Aggregator) flushNode(id netsim.NodeID) {
 		node.SendUnicast(pkt)
 		pkt.Release()
 		atomic.AddInt64(&a.Flushes, 1)
-		if a.obs != nil {
-			a.obs.AggFlushes.Inc()
-		}
 	}
 }
 
@@ -381,9 +374,6 @@ func (a *Aggregator) redistribute(id netsim.NodeID, b *report.SuggestionBatch) {
 		pkt.Release()
 		g.batch = nil
 		atomic.AddInt64(&a.Batches, 1)
-		if a.obs != nil {
-			a.obs.AggBatches.Inc()
-		}
 	}
 	nd.groups = groups
 	// Deferred hand-over: the batch just consumed stays alive until this

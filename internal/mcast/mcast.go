@@ -206,33 +206,34 @@ type Domain struct {
 	// read them only while the engine is quiescent.
 	Grafts, Prunes, Repairs int64
 
-	// obs, when set, mirrors the tree-maintenance counters into the
-	// observability registry and records graft/prune/repair events in the
-	// flight recorder. All hooks sit on the control path; HandleMulticast
-	// is untouched.
-	obs *obs.Obs
+	// Set by SetObs; both sit on the control path, off HandleMulticast.
+	rec     *obs.Recorder
+	pruneMs *obs.Histogram
 }
 
-// SetObs attaches an observability bundle; nil detaches it.
-func (d *Domain) SetObs(o *obs.Obs) { d.obs = o }
-
-// noteTree records one tree-maintenance operation with the bundle, if any.
-// to is the relevant peer (the parent grafted toward or pruned from), or
-// NoNode when there is none.
-func (d *Domain) noteTree(kind obs.EventKind, n, to netsim.NodeID, g netsim.GroupID) {
-	if d.obs == nil {
+// SetObs registers the tree counters and the departure-to-prune histogram
+// with o, and records tree events in its flight recorder. Nil is a no-op.
+func (d *Domain) SetObs(o *obs.Obs) {
+	if o == nil {
 		return
 	}
-	switch kind {
-	case obs.EvGraft:
-		d.obs.Grafts.Inc()
-	case obs.EvPrune:
-		d.obs.Prunes.Inc()
-	case obs.EvRepair:
-		d.obs.Repairs.Inc()
+	o.Reg.CounterOf("mcast_grafts", &d.Grafts)
+	o.Reg.CounterOf("mcast_prunes", &d.Prunes)
+	o.Reg.CounterOf("mcast_repairs", &d.Repairs)
+	// Last member leaving a last-hop router to its prune landing upstream.
+	d.pruneMs = o.Reg.Histogram("churn_departure_prune_ms",
+		[]float64{100, 250, 500, 1000, 1500, 2000, 3000, 5000})
+	d.rec = o.Rec
+}
+
+// noteTree records one tree-maintenance operation in the flight recorder,
+// if any. to is the parent grafted toward or pruned from, or NoNode.
+func (d *Domain) noteTree(kind obs.EventKind, n, to netsim.NodeID, g netsim.GroupID) {
+	if d.rec == nil {
+		return
 	}
 	session, layer := d.SessionLayer(g)
-	d.obs.Rec.Record(obs.Event{
+	d.rec.Record(obs.Event{
 		At:      d.net.SchedulerFor(n).Now(),
 		Kind:    kind,
 		From:    int32(n),
@@ -462,11 +463,11 @@ func (d *Domain) pruneFromParent(n netsim.NodeID, g netsim.GroupID) {
 			return
 		}
 		upSt.removeChild(n)
-		if d.obs != nil && idle > 0 {
+		if d.pruneMs != nil && idle > 0 {
 			// Departure-to-prune latency: last member left at idle, the
 			// prune just landed upstream. Cascade prunes (idle == 0) are
 			// not re-counted — the latency was paid at the last-hop router.
-			d.obs.DeparturePrune.Observe((sched.Now() - idle).Seconds() * 1e3)
+			d.pruneMs.Observe((sched.Now() - idle).Seconds() * 1e3)
 		}
 		if !upSt.active() && upSt.pruneTimer.IsZero() {
 			// Upstream prunes promptly: the leave-latency cost was already

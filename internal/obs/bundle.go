@@ -21,65 +21,13 @@ type Options struct {
 }
 
 // Obs bundles one simulation's observability state: the instrument
-// registry, the flight recorder, the audit log, and the pre-registered
-// instruments the core pipeline updates. Components hold the typed
-// pointers directly — no registry lookup ever happens on a hot path — and
-// every instrument is nil-safe, so a component wired with a nil *Obs pays
-// exactly one pointer comparison.
+// registry, the flight recorder and the audit log. Components register
+// their own instruments in Reg from their SetObs, so a run exports exactly
+// the instruments of the components it built.
 type Obs struct {
 	Reg   *Registry
 	Rec   *Recorder
 	Audit *Audit
-
-	// Multicast tree maintenance (internal/mcast).
-	Grafts  *Counter
-	Prunes  *Counter
-	Repairs *Counter
-
-	// Controller passes (internal/controller). PassEvents observes the
-	// engine-events distance between consecutive passes; FanIn the control
-	// messages the controller consumed per pass — the fan-in the in-network
-	// aggregation layer collapses from O(receivers) to O(branching).
-	Passes     *Counter
-	PassEvents *Histogram
-	FanIn      *Histogram
-
-	// In-network feedback aggregation (mcast.Aggregator).
-	AggAbsorbed *Counter // loss reports absorbed at tree nodes
-	AggMerges   *Counter // child aggregates merged on the way up
-	AggFlushes  *Counter // aggregate packets emitted toward the controller
-	AggBatches  *Counter // suggestion sub-batches forwarded down the tree
-
-	// Membership churn (internal/churn driver + the departure lifecycle).
-	// DeparturePrune observes the departure-to-prune latency in
-	// milliseconds: the last member leaving a last-hop router to the prune
-	// landing at its parent (leave latency + one link delay, typically).
-	ChurnJoins     *Counter
-	ChurnLeaves    *Counter
-	DeparturePrune *Histogram
-
-	// Hierarchical control plane (internal/federation). FedReconcileUs
-	// observes each parent reconcile pass's host wall latency in
-	// microseconds (reporting only — the simulation never reads it);
-	// FedBudgetChurn counts per-(domain, session) budget changes the
-	// reconcile loop pushed down, the stability number of the declarative
-	// loop (churn -> 0 is budget convergence).
-	FedExports     *Counter // domain summaries received from leaf controllers
-	FedReconciles  *Counter // parent reconcile passes run
-	FedBudgetChurn *Counter // budget changes pushed down to leaves
-	FedCapped      *Counter // suggestions clamped to a budget at the leaves
-	FedReconcileUs *Histogram
-	FedBudgetLevel *Histogram // budget levels in force after each reconcile
-
-	// Packet plane (via the NetProbe).
-	Enqueues     *Counter
-	Delivers     *Counter
-	DropsQueue   *Counter // drop-policy discards (queue overflow / priority victim)
-	DropsDown    *Counter // losses to failed links
-	DropsData    *Counter // dropped media packets
-	DropsControl *Counter // dropped control packets
-	QueueDepth   *Histogram
-	LinkLatency  *Histogram // per-link queuing+serialization+propagation, in milliseconds
 
 	engines []EngineSource
 }
@@ -90,7 +38,7 @@ type EngineSource interface {
 	Stats() sim.EngineStats
 }
 
-// New builds an Obs with every core instrument registered.
+// New builds an Obs with an empty registry and the recorders opt sizes.
 func New(opt Options) *Obs {
 	o := &Obs{Reg: NewRegistry()}
 	switch {
@@ -105,46 +53,6 @@ func New(opt Options) *Obs {
 	case opt.AuditPasses > 0:
 		o.Audit = NewAudit(opt.AuditPasses)
 	}
-
-	o.Grafts = o.Reg.Counter("mcast_grafts")
-	o.Prunes = o.Reg.Counter("mcast_prunes")
-	o.Repairs = o.Reg.Counter("mcast_repairs")
-
-	o.Passes = o.Reg.Counter("controller_passes")
-	o.PassEvents = o.Reg.Histogram("controller_pass_events",
-		[]float64{100, 300, 1000, 3000, 10000, 30000, 100000, 300000})
-	o.FanIn = o.Reg.Histogram("controller_fanin",
-		[]float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000})
-
-	o.AggAbsorbed = o.Reg.Counter("agg_reports_absorbed")
-	o.AggMerges = o.Reg.Counter("agg_merges")
-	o.AggFlushes = o.Reg.Counter("agg_flushes")
-	o.AggBatches = o.Reg.Counter("agg_batches")
-
-	o.ChurnJoins = o.Reg.Counter("churn_joins")
-	o.ChurnLeaves = o.Reg.Counter("churn_leaves")
-	o.DeparturePrune = o.Reg.Histogram("churn_departure_prune_ms",
-		[]float64{100, 250, 500, 1000, 1500, 2000, 3000, 5000})
-
-	o.FedExports = o.Reg.Counter("federation_exports")
-	o.FedReconciles = o.Reg.Counter("federation_reconciles")
-	o.FedBudgetChurn = o.Reg.Counter("federation_budget_churn")
-	o.FedCapped = o.Reg.Counter("federation_capped_suggestions")
-	o.FedReconcileUs = o.Reg.Histogram("federation_reconcile_us",
-		[]float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000})
-	o.FedBudgetLevel = o.Reg.Histogram("federation_budget_level",
-		[]float64{1, 2, 3, 4, 5, 6, 8, 12, 15})
-
-	o.Enqueues = o.Reg.Counter("link_enqueues")
-	o.Delivers = o.Reg.Counter("link_delivers")
-	o.DropsQueue = o.Reg.Counter("link_drops_queue")
-	o.DropsDown = o.Reg.Counter("link_drops_down")
-	o.DropsData = o.Reg.Counter("link_drops_data")
-	o.DropsControl = o.Reg.Counter("link_drops_control")
-	o.QueueDepth = o.Reg.Histogram("link_queue_depth",
-		[]float64{0, 1, 2, 4, 8, 12, 16, 20, 32, 64})
-	o.LinkLatency = o.Reg.Histogram("link_latency_ms",
-		[]float64{1, 5, 10, 25, 50, 100, 200, 300, 500, 1000, 2000})
 	return o
 }
 

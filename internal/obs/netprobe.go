@@ -30,9 +30,14 @@ import (
 // (the link transfers the victim's accounting to the arrival without a
 // fresh enqueue).
 type NetProbe struct {
-	o       *Obs
+	rec     *Recorder
 	mu      sync.Mutex
 	pending map[pendKey]sim.Time
+
+	enqueues, delivers    *Counter
+	dropsQueue, dropsDown *Counter // drop-policy discards / losses to failed links
+	dropsData, dropsCtl   *Counter // dropped media / control packets
+	queueDepth, latencyMs *Histogram
 }
 
 type pendKey struct {
@@ -40,24 +45,37 @@ type pendKey struct {
 	p *netsim.Packet
 }
 
-// NewNetProbe builds a probe feeding o's packet-plane instruments.
+// NewNetProbe builds a probe and registers its link_* instruments in o.
+// Probes on several networks of one run share the instruments.
 func NewNetProbe(o *Obs) *NetProbe {
 	if o == nil {
 		panic("obs: NewNetProbe requires an Obs")
 	}
-	return &NetProbe{o: o, pending: make(map[pendKey]sim.Time)}
+	r := o.Reg
+	return &NetProbe{
+		rec:        o.Rec,
+		pending:    make(map[pendKey]sim.Time),
+		enqueues:   r.Counter("link_enqueues"),
+		delivers:   r.Counter("link_delivers"),
+		dropsQueue: r.Counter("link_drops_queue"),
+		dropsDown:  r.Counter("link_drops_down"),
+		dropsData:  r.Counter("link_drops_data"),
+		dropsCtl:   r.Counter("link_drops_control"),
+		queueDepth: r.Histogram("link_queue_depth", []float64{0, 1, 2, 4, 8, 12, 16, 20, 32, 64}),
+		latencyMs:  r.Histogram("link_latency_ms", []float64{1, 5, 10, 25, 50, 100, 200, 300, 500, 1000, 2000}),
+	}
 }
 
 // Enqueue implements netsim.Probe.
 func (np *NetProbe) Enqueue(l *netsim.Link, p *netsim.Packet) {
 	now := l.NowTx()
 	depth := l.QueueLen() // depth the arrival saw (it is not queued yet)
-	np.o.Enqueues.Inc()
-	np.o.QueueDepth.Observe(float64(depth))
+	np.enqueues.Inc()
+	np.queueDepth.Observe(float64(depth))
 	np.mu.Lock()
 	np.pending[pendKey{l, p}] = now
 	np.mu.Unlock()
-	np.o.Rec.Record(Event{
+	np.rec.Record(Event{
 		At: now, Kind: EvEnqueue,
 		From: int32(l.From), To: int32(l.To),
 		Session: int32(p.Session), Layer: int32(p.Layer),
@@ -71,19 +89,19 @@ func (np *NetProbe) Drop(l *netsim.Link, p *netsim.Packet) {
 	cause := DropQueue
 	if l.Down() {
 		cause = DropLinkDown
-		np.o.DropsDown.Inc()
+		np.dropsDown.Inc()
 	} else {
-		np.o.DropsQueue.Inc()
+		np.dropsQueue.Inc()
 	}
 	if p.Kind == netsim.Control {
-		np.o.DropsControl.Inc()
+		np.dropsCtl.Inc()
 	} else {
-		np.o.DropsData.Inc()
+		np.dropsData.Inc()
 	}
 	np.mu.Lock()
 	delete(np.pending, pendKey{l, p})
 	np.mu.Unlock()
-	np.o.Rec.Record(Event{
+	np.rec.Record(Event{
 		At: now, Kind: EvDrop,
 		From: int32(l.From), To: int32(l.To),
 		Session: int32(p.Session), Layer: int32(p.Layer),
@@ -94,7 +112,7 @@ func (np *NetProbe) Drop(l *netsim.Link, p *netsim.Packet) {
 // Deliver implements netsim.Probe.
 func (np *NetProbe) Deliver(l *netsim.Link, p *netsim.Packet) {
 	now := l.NowRx()
-	np.o.Delivers.Inc()
+	np.delivers.Inc()
 	lat := int64(-1)
 	k := pendKey{l, p}
 	np.mu.Lock()
@@ -105,9 +123,9 @@ func (np *NetProbe) Deliver(l *netsim.Link, p *netsim.Packet) {
 	np.mu.Unlock()
 	if ok {
 		lat = int64(now - t)
-		np.o.LinkLatency.Observe(float64(now-t) / float64(sim.Millisecond))
+		np.latencyMs.Observe(float64(now-t) / float64(sim.Millisecond))
 	}
-	np.o.Rec.Record(Event{
+	np.rec.Record(Event{
 		At: now, Kind: EvDeliver,
 		From: int32(l.From), To: int32(l.To),
 		Session: int32(p.Session), Layer: int32(p.Layer),

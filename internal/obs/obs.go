@@ -4,6 +4,10 @@
 // controller events, and a controller decision audit log that records, per
 // pass, what the controller saw and what it prescribed.
 //
+// Components register their own instruments from their SetObs; a fact a
+// component already counts is exported through Registry.CounterOf, which
+// reads the component's field instead of counting the fact twice.
+//
 // The layer is strictly opt-in and pay-for-what-you-use:
 //
 //   - Disabled (the default) it costs nothing. The packet plane is observed
@@ -14,8 +18,9 @@
 //     guard of their own.
 //   - Enabled, the steady-state cost is an integer add (Counter), a bucket
 //     scan over a handful of float bounds (Histogram), or a struct copy
-//     into a preallocated ring (Recorder). None of them allocate; the
-//     obs-gate benchmarks (make bench-obs-gate) pin allocs/op at zero.
+//     into a preallocated ring (Recorder); a counter backed by component
+//     fields costs nothing until it is read. None of them allocate; the
+//     obs-gate benchmarks (make obs-gate) pin allocs/op at zero.
 //
 // Observation never perturbs the simulation: nothing here schedules
 // events, draws from the engine's RNG, or mutates model state, so a run
@@ -26,6 +31,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,9 +41,12 @@ import (
 // ready to use; all methods are no-ops on a nil receiver so wiring can be
 // left unconditioned. Counts move atomically: on a sharded engine the same
 // instrument is hit from every shard's worker.
+// Value also adds an atomic load of every source registered with
+// Registry.CounterOf.
 type Counter struct {
 	name string
 	v    int64
+	srcs []*int64
 }
 
 // Inc adds one.
@@ -54,12 +63,16 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count (0 on nil).
+// Value returns the current count plus every source's (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&c.v)
+	v := atomic.LoadInt64(&c.v)
+	for _, src := range c.srcs {
+		v += atomic.LoadInt64(src)
+	}
+	return v
 }
 
 // Name returns the registered name.
@@ -189,9 +202,27 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterOf adds src, a count a component keeps itself, as a source of the
+// counter under name; the same src twice is a no-op. Every controller of a
+// federated world thus feeds one controller_passes. src is read with
+// atomic loads, so it must move atomically or only while no export is
+// taken. Nil-safe.
+func (r *Registry) CounterOf(name string, src *int64) {
+	c := r.Counter(name)
+	if c == nil {
+		return
+	}
+	for _, s := range c.srcs {
+		if s == src {
+			return
+		}
+	}
+	c.srcs = append(c.srcs, src)
+}
+
 // Histogram registers (or returns the existing) histogram under name with
 // the given ascending bucket bounds. Bounds are copied; re-registration
-// ignores the new bounds.
+// with different bounds panics.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -199,10 +230,14 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if i, ok := r.byName[name]; ok {
 		// Histograms and counters share byName but live in separate slices;
 		// a histogram's index is offset past the counters namespace.
-		if i >= histBase {
-			return r.hists[i-histBase]
+		if i < histBase {
+			panic(fmt.Sprintf("obs: %q already registered as a counter", name))
 		}
-		panic(fmt.Sprintf("obs: %q already registered as a counter", name))
+		h := r.hists[i-histBase]
+		if !slices.Equal(h.bounds, bounds) {
+			panic(fmt.Sprintf("obs: histogram %q re-registered with bounds %v, have %v", name, bounds, h.bounds))
+		}
+		return h
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {

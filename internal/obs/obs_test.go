@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"toposense/internal/netsim"
@@ -24,6 +27,60 @@ func TestCounterBasics(t *testing.T) {
 	}
 	if again := r.Counter("x"); again != c {
 		t.Error("re-registration returned a different counter")
+	}
+}
+
+// TestObsCounterOfSumsSources: a counter backed by component-owned counts
+// reads their sum plus its own increments, and a source registered twice
+// counts once.
+func TestObsCounterOfSumsSources(t *testing.T) {
+	r := NewRegistry()
+	a, b := int64(3), int64(4)
+	r.CounterOf("passes", &a)
+	r.CounterOf("passes", &b)
+	r.CounterOf("passes", &a)
+	c := r.Counter("passes")
+	if got := c.Value(); got != 7 {
+		t.Errorf("Value = %d, want 7", got)
+	}
+	a++
+	c.Inc()
+	if got := c.Value(); got != 9 {
+		t.Errorf("Value after updates = %d, want 9", got)
+	}
+	if len(r.Counters()) != 1 {
+		t.Errorf("%d counters registered, want 1", len(r.Counters()))
+	}
+	var nilReg *Registry
+	nilReg.CounterOf("passes", &a) // no-op
+}
+
+// TestObsCounterOfConcurrentSources: sources bumped atomically from several
+// goroutines — the shards of a sharded engine — may be read while they
+// move, and settle to the exact total.
+func TestObsCounterOfConcurrentSources(t *testing.T) {
+	r := NewRegistry()
+	srcs := make([]int64, 4)
+	for i := range srcs {
+		r.CounterOf("grafts", &srcs[i])
+	}
+	c := r.Counter("grafts")
+	var wg sync.WaitGroup
+	for i := range srcs {
+		wg.Add(1)
+		go func(p *int64) {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				atomic.AddInt64(p, 1)
+			}
+		}(&srcs[i])
+	}
+	for c.Value() < 4000 {
+		runtime.Gosched()
+	}
+	wg.Wait()
+	if got := c.Value(); got != 4000 {
+		t.Errorf("Value = %d, want 4000", got)
 	}
 }
 
@@ -97,6 +154,7 @@ func TestRegistryCrossTypePanics(t *testing.T) {
 		func() { r.Histogram("a", []float64{1}) },
 		func() { r.Counter("b") },
 		func() { r.Histogram("c", []float64{2, 1}) },
+		func() { r.CounterOf("b", new(int64)) },
 	} {
 		func() {
 			defer func() {
@@ -105,6 +163,28 @@ func TestRegistryCrossTypePanics(t *testing.T) {
 				}
 			}()
 			f()
+		}()
+	}
+}
+
+// TestHistogramBoundsMismatchPanics: several components register the same
+// histogram (every controller registers controller_fanin); identical bounds
+// share one histogram, different bounds would silently merge differently
+// bucketed data and must panic instead.
+func TestHistogramBoundsMismatchPanics(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("fanin", []float64{1, 10})
+	if again := r.Histogram("fanin", []float64{1, 10}); again != h {
+		t.Error("re-registration with the same bounds returned a different histogram")
+	}
+	for _, bounds := range [][]float64{{1, 100}, {1}, nil} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("re-registration with bounds %v did not panic", bounds)
+				}
+			}()
+			r.Histogram("fanin", bounds)
 		}()
 	}
 }
@@ -187,9 +267,11 @@ func TestDumpJSONAndCSV(t *testing.T) {
 	e := sim.NewEngine(7)
 	o := New(Options{FlightRecorder: 8, AuditPasses: 4})
 	o.ObserveEngine(e)
-	o.Grafts.Add(3)
-	o.QueueDepth.Observe(2)
-	o.QueueDepth.Observe(100)
+	grafts := int64(3)
+	o.Reg.CounterOf("mcast_grafts", &grafts)
+	qd := o.Reg.Histogram("link_queue_depth", []float64{0, 1, 2, 4, 8})
+	qd.Observe(2)
+	qd.Observe(100)
 	o.Rec.Record(Event{At: sim.Second, Kind: EvGraft, From: 1, To: 2, Session: 0, Seq: 5})
 	o.Audit.Add(AuditPass{At: 2 * sim.Second, Topologies: 1,
 		Receivers: []AuditEntry{{Node: 4, Session: 0, Level: 2, Loss: 0.25, Parent: 1, OnTree: true, Prescribed: 3}}})
@@ -242,8 +324,9 @@ func TestBucketDumpRoundTrip(t *testing.T) {
 
 func TestDumpCumulativeBuckets(t *testing.T) {
 	o := New(Options{FlightRecorder: -1, AuditPasses: -1})
+	h := o.Reg.Histogram("link_queue_depth", []float64{0, 1, 2, 4, 8, 12, 16, 20, 32, 64})
 	for _, v := range []float64{0, 1, 3, 9, 1e9} {
-		o.QueueDepth.Observe(v)
+		h.Observe(v)
 	}
 	d := o.Dump()
 	var qd *HistogramDump
@@ -267,6 +350,30 @@ func TestDumpCumulativeBuckets(t *testing.T) {
 	if d.Flight != nil || d.Audit != nil {
 		t.Error("disabled recorders leaked into the dump")
 	}
+}
+
+// counterValue reads the counter registered in o under name.
+func counterValue(t *testing.T, o *Obs, name string) int64 {
+	t.Helper()
+	for _, c := range o.Reg.Counters() {
+		if c.Name() == name {
+			return c.Value()
+		}
+	}
+	t.Fatalf("no counter %q registered", name)
+	return 0
+}
+
+// histogramOf returns the histogram registered in o under name.
+func histogramOf(t *testing.T, o *Obs, name string) *Histogram {
+	t.Helper()
+	for _, h := range o.Reg.Histograms() {
+		if h.Name() == name {
+			return h
+		}
+	}
+	t.Fatalf("no histogram %q registered", name)
+	return nil
 }
 
 // netProbeRig runs a tiny congested line network with a NetProbe attached.
@@ -294,21 +401,22 @@ func netProbeRig(t *testing.T) (*sim.Engine, *Obs, *netsim.Link) {
 func TestNetProbeCountsMatchLinkStats(t *testing.T) {
 	_, o, link := netProbeRig(t)
 	st := link.Stats()
-	if got := o.Enqueues.Value(); got != int64(st.Enqueued) {
-		t.Errorf("Enqueues = %d, link says %d", got, st.Enqueued)
+	if got := counterValue(t, o, "link_enqueues"); got != int64(st.Enqueued) {
+		t.Errorf("link_enqueues = %d, link says %d", got, st.Enqueued)
 	}
-	if got := o.Delivers.Value(); got != int64(st.Delivered) {
-		t.Errorf("Delivers = %d, link says %d", got, st.Delivered)
+	if got := counterValue(t, o, "link_delivers"); got != int64(st.Delivered) {
+		t.Errorf("link_delivers = %d, link says %d", got, st.Delivered)
 	}
-	if got := o.DropsQueue.Value(); got != int64(st.Dropped) {
-		t.Errorf("DropsQueue = %d, link says %d", got, st.Dropped)
+	dropsQueue := counterValue(t, o, "link_drops_queue")
+	if dropsQueue != int64(st.Dropped) {
+		t.Errorf("link_drops_queue = %d, link says %d", dropsQueue, st.Dropped)
 	}
-	if o.DropsDown.Value() != 0 {
-		t.Errorf("DropsDown = %d on a healthy link", o.DropsDown.Value())
+	if got := counterValue(t, o, "link_drops_down"); got != 0 {
+		t.Errorf("link_drops_down = %d on a healthy link", got)
 	}
 	// All five were control packets.
-	if got := o.DropsControl.Value(); got != o.DropsQueue.Value() {
-		t.Errorf("DropsControl = %d, want %d", got, o.DropsQueue.Value())
+	if got := counterValue(t, o, "link_drops_control"); got != dropsQueue {
+		t.Errorf("link_drops_control = %d, want %d", got, dropsQueue)
 	}
 }
 
@@ -316,10 +424,11 @@ func TestNetProbeLatency(t *testing.T) {
 	_, o, _ := netProbeRig(t)
 	// First packet: 10ms serialization + 5ms propagation = 15ms, no queuing.
 	// Later packets queue behind it, so latencies are 15, 25, 35 ms.
-	if got := o.LinkLatency.Count(); got != 3 {
+	lat := histogramOf(t, o, "link_latency_ms")
+	if got := lat.Count(); got != 3 {
 		t.Fatalf("latency observations = %d, want 3", got)
 	}
-	if got := o.LinkLatency.Sum(); got != 15+25+35 {
+	if got := lat.Sum(); got != 15+25+35 {
 		t.Errorf("latency sum = %g ms, want 75", got)
 	}
 	// Every deliver event carries its latency in Aux (microseconds).
@@ -351,11 +460,12 @@ func TestNetProbeLinkDownCause(t *testing.T) {
 	l.Send(&netsim.Packet{Kind: netsim.Data, Src: a.ID, Dst: b.ID,
 		Group: netsim.NoGroup, Size: 100})
 	e.Run()
-	if o.DropsDown.Value() != 1 || o.DropsQueue.Value() != 0 {
-		t.Errorf("down/queue drops = %d/%d, want 1/0", o.DropsDown.Value(), o.DropsQueue.Value())
+	down, queue := counterValue(t, o, "link_drops_down"), counterValue(t, o, "link_drops_queue")
+	if down != 1 || queue != 0 {
+		t.Errorf("down/queue drops = %d/%d, want 1/0", down, queue)
 	}
-	if o.DropsData.Value() != 1 {
-		t.Errorf("DropsData = %d, want 1", o.DropsData.Value())
+	if got := counterValue(t, o, "link_drops_data"); got != 1 {
+		t.Errorf("link_drops_data = %d, want 1", got)
 	}
 	evs := o.Rec.Events()
 	if len(evs) != 1 || evs[0].Kind != EvDrop || evs[0].Aux != DropLinkDown {
@@ -365,8 +475,11 @@ func TestNetProbeLinkDownCause(t *testing.T) {
 
 func TestZeroAllocHotPath(t *testing.T) {
 	o := New(Options{FlightRecorder: 16, AuditPasses: -1})
-	c := o.Grafts
-	h := o.QueueDepth
+	c := o.Reg.Counter("c")
+	h := o.Reg.Histogram("h", []float64{1, 2, 4, 8})
+	var src int64
+	o.Reg.CounterOf("pulled", &src)
+	pulled := o.Reg.Counter("pulled")
 	rec := o.Rec
 	ev := Event{Kind: EvGraft, From: 1, To: 2}
 
@@ -375,6 +488,9 @@ func TestZeroAllocHotPath(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(3) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %g/op", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = pulled.Value() }); n != 0 {
+		t.Errorf("pulled Counter.Value allocates %g/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { rec.Record(ev) }); n != 0 {
 		t.Errorf("Recorder.Record allocates %g/op", n)
