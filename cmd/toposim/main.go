@@ -9,19 +9,19 @@
 //
 // Usage:
 //
-//	toposim -topology A -receivers 4 -traffic vbr3 -duration 600
-//	toposim -topology B -sessions 8 -staleness 6
-//	toposim -topology B -failat 200 -outage 60   # cut the bottleneck mid-run
-//	toposim -topology tiered -seed 3
+//	toposim -topo a,rxset=4 -traffic vbr3 -duration 600
+//	toposim -topo b,sessions=8 -staleness 6
+//	toposim -topo b,sessions=4 -failat 200 -outage 60   # cut the bottleneck mid-run
+//	toposim -topo tiered,seed=3,rxleaf=2 -seed 3 -federate
 //	toposim -topo tree,depth=3,branch=8,rxleaf=2 -duration 30   # generated large topology
 //	toposim -topo tree,depth=4,branch=10,rxleaf=10 -shards 4    # sharded engine, 4 workers
 //	toposim -topo tree,depth=3,branch=8,rxleaf=2 -aggregate     # in-network report aggregation
 //	toposim -topo list                           # list registered generators and keys
-//	toposim -topology B -sessions 4 -algo rlm    # RLM baseline instead
-//	toposim -topology A -json BENCH_simA.json    # machine-readable result
-//	toposim -topology B -obs OBS_sim.json        # observability export (.json or .csv)
-//	toposim -topology B -flightrec               # dump the flight recorder after the run
-//	toposim -topology B -cpuprofile cpu.pprof -memprofile mem.pprof
+//	toposim -topo b,sessions=4 -algo rlm         # RLM baseline instead
+//	toposim -json BENCH_simA.json                # machine-readable result
+//	toposim -topo b,sessions=4 -obs OBS_sim.json # observability export (.json or .csv)
+//	toposim -topo b,sessions=4 -flightrec        # dump the flight recorder after the run
+//	toposim -topo b,sessions=4 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -63,10 +63,7 @@ type simResult struct {
 }
 
 func main() {
-	topo := flag.String("topology", "A", "A, B or tiered")
-	topoSpec := flag.String("topo", "", "topology generator spec name[,key=val,...] resolved against the registry ("+strings.Join(topology.Names(), ", ")+"); overrides -topology; \"list\" prints every generator and its keys")
-	receivers := flag.Int("receivers", 2, "topology A: receivers per set; tiered: receivers per leaf")
-	sessions := flag.Int("sessions", 4, "topology B: number of competing sessions")
+	topoSpec := flag.String("topo", "a,rxset=2", "topology generator spec name[,key=val,...] resolved against the registry ("+strings.Join(topology.Names(), ", ")+"); \"list\" prints every generator and its keys")
 	traffic := flag.String("traffic", "cbr", "cbr, vbr3 or vbr6")
 	duration := flag.Float64("duration", 1200, "simulated seconds")
 	staleness := flag.Float64("staleness", 0, "topology information staleness in seconds")
@@ -111,22 +108,10 @@ func main() {
 		fmt.Print(topology.Usage())
 		return
 	}
-	var topoCfg topology.Config
-	topoName := strings.ToUpper(*topo)
-	if *topoSpec != "" {
-		var err error
-		if _, topoCfg, err = topology.Parse(*topoSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		topoName = *topoSpec
-	} else {
-		switch topoName {
-		case "A", "B", "TIERED":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topo)
-			os.Exit(2)
-		}
+	_, topoCfg, err := topology.Parse(*topoSpec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	algoName := strings.ToLower(*algo)
 	switch algoName {
@@ -167,14 +152,16 @@ func main() {
 		Staleness:      sim.FromSeconds(*staleness),
 		ProbeDiscovery: *probe,
 		Aggregate:      *aggregate,
-		Federate:       *federate,
+	}
+	if *federate {
+		cfg.Plane = experiments.Federated
 	}
 	dur := sim.FromSeconds(*duration)
 
 	// The flight recorder lives inside the run's obs bundle; capture it from
 	// the body so -flightrec can dump it after Execute returns.
 	var runObs *obs.Obs
-	runName := fmt.Sprintf("toposim/topo=%s/%s/%s", topoName, tr.Name, algoName)
+	runName := fmt.Sprintf("toposim/topo=%s/%s/%s", *topoSpec, tr.Name, algoName)
 	if *federate {
 		runName += "/fed"
 	}
@@ -182,26 +169,9 @@ func main() {
 		*seed, dur,
 		func(m *experiments.Meter) (any, error) {
 			e := experiments.NewRunEngine(*seed, *shards)
-			var b *topology.Build
-			if topoCfg != nil {
-				var err error
-				if b, err = topology.Generate(e, topoCfg); err != nil {
-					return nil, err
-				}
-			} else {
-				switch topoName {
-				case "A":
-					b = topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: *receivers})
-				case "B":
-					b = topology.MustGenerate(e, &topology.BConfig{Sessions: *sessions})
-				case "TIERED":
-					b = topology.MustGenerate(e, &topology.TieredConfig{
-						Seed:             *seed,
-						FanOut:           []int{2, 3},
-						Bandwidth:        []float64{10e6, 600e3},
-						ReceiversPerLeaf: *receivers,
-					})
-				}
+			b, err := topology.Generate(e, topoCfg)
+			if err != nil {
+				return nil, err
 			}
 			m.Observe(e, b.Net)
 			runObs = m.Obs()
@@ -209,7 +179,7 @@ func main() {
 			var inj *faults.Injector
 			if *failAt > 0 {
 				if len(b.Bottlenecks) == 0 {
-					return nil, fmt.Errorf("topology %s exposes no bottleneck link to fail", topoName)
+					return nil, fmt.Errorf("topology %s exposes no bottleneck link to fail", *topoSpec)
 				}
 				inj = faults.New(b.Net)
 				links := []*netsim.Link{b.Bottlenecks[0]}
@@ -286,8 +256,14 @@ func main() {
 						w.Controller.StepsRun, w.Controller.SuggestionsSent, w.Controller.ReportsRecv)
 				}
 				if w.Churn != nil {
+					var deregs int64
+					registered := 0
+					for _, c := range w.Controllers {
+						deregs += c.DeregistersRecv
+						registered += len(c.RegisteredReceivers())
+					}
 					fmt.Printf("churn: %d joins, %d leaves, %d deregisters consumed, %d receivers registered at end\n",
-						w.Churn.Joins, w.Churn.Leaves, w.Controller.DeregistersRecv, len(w.Controller.RegisteredReceivers()))
+						w.Churn.Joins, w.Churn.Leaves, deregs, registered)
 				}
 				if *aggregate {
 					fmt.Printf("aggregation: %d reports absorbed in-network, %d merges, %d flushes, %d sub-batches down\n",
@@ -401,7 +377,7 @@ func main() {
 	res := result.Rows.(simResult)
 
 	t := &experiments.Table{
-		Title:  fmt.Sprintf("Topology %s, %s, %s, %.0f s", topoName, tr.Name, algoName, *duration),
+		Title:  fmt.Sprintf("Topology %s, %s, %s, %.0f s", *topoSpec, tr.Name, algoName, *duration),
 		Header: []string{"receiver", "final level", "optimal", "rel deviation", "changes"},
 	}
 	for _, r := range res.Rows {

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"toposense/internal/controller"
 	"toposense/internal/sim"
 )
 
@@ -42,12 +44,12 @@ func TestWorldAssemblyB(t *testing.T) {
 }
 
 func TestRunFig6Scaled(t *testing.T) {
-	rows := RunFig6(Fig6Config{
+	rows := mustGather[StabilityRow](t, ExecuteAll(Fig6Specs(Fig6Config{
 		Seed:     1,
 		Duration: 120 * sim.Second,
 		PerSet:   []int{1, 2},
 		Traffic:  []Traffic{CBR},
-	})
+	})))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -72,12 +74,12 @@ func TestRunFig6Scaled(t *testing.T) {
 }
 
 func TestRunFig7Scaled(t *testing.T) {
-	rows := RunFig7(Fig7Config{
+	rows := mustGather[StabilityRow](t, ExecuteAll(Fig7Specs(Fig7Config{
 		Seed:     1,
 		Duration: 120 * sim.Second,
 		Sessions: []int{2},
 		Traffic:  []Traffic{CBR, VBR3},
-	})
+	})))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -89,12 +91,12 @@ func TestRunFig7Scaled(t *testing.T) {
 }
 
 func TestRunFig8Scaled(t *testing.T) {
-	rows := RunFig8(Fig8Config{
+	rows := mustGather[FairnessRow](t, ExecuteAll(Fig8Specs(Fig8Config{
 		Seed:     1,
 		Duration: 300 * sim.Second,
 		Sessions: []int{2},
 		Traffic:  []Traffic{CBR},
-	})
+	})))
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -113,11 +115,11 @@ func TestRunFig8Scaled(t *testing.T) {
 }
 
 func TestRunFig9Scaled(t *testing.T) {
-	res := RunFig9(Fig9Config{
+	res := mustExecute[*Fig9Result](t, Fig9Specs(Fig9Config{
 		Seed:     1,
 		Sessions: 2,
 		Duration: 120 * sim.Second,
-	})
+	}))
 	if len(res.Levels) != 2 || len(res.Losses) != 2 {
 		t.Fatalf("series count wrong")
 	}
@@ -139,12 +141,12 @@ func TestRunFig9Scaled(t *testing.T) {
 }
 
 func TestRunFig10Scaled(t *testing.T) {
-	rows := RunFig10(Fig10Config{
+	rows := mustGather[StaleRow](t, ExecuteAll(Fig10Specs(Fig10Config{
 		Seed:      1,
 		Duration:  120 * sim.Second,
 		PerSet:    []int{1},
 		Staleness: []sim.Time{0, 8 * sim.Second},
-	})
+	})))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -162,13 +164,13 @@ func TestRunFig10Scaled(t *testing.T) {
 }
 
 func TestRunBaselineScaled(t *testing.T) {
-	rows := RunBaseline(BaselineConfig{
+	rows := mustGather[BaselineRow](t, ExecuteAll(BaselineSpecs(BaselineConfig{
 		Seed:     1,
 		Duration: 120 * sim.Second,
 		Traffics: []Traffic{CBR},
 		PerSet:   1,
 		Sessions: 2,
-	})
+	})))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -227,7 +229,7 @@ func TestTrafficDefinitions(t *testing.T) {
 }
 
 func TestRunAblationScaled(t *testing.T) {
-	rows := RunAblation(AblationConfig{Seed: 1, Duration: 120 * sim.Second, Sessions: 2})
+	rows := mustGather[AblationRow](t, ExecuteAll(AblationSpecs(AblationConfig{Seed: 1, Duration: 120 * sim.Second, Sessions: 2})))
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5 variants", len(rows))
 	}
@@ -250,7 +252,7 @@ func TestRunAblationScaled(t *testing.T) {
 
 func TestRunExtensionsScaled(t *testing.T) {
 	cfg := ExtensionConfig{Seed: 1, Seeds: 1, Duration: 120 * sim.Second}
-	gran := RunGranularity(cfg)
+	gran := reduceExtension(mustGather[ExtensionRow](t, ExecuteAll(GranularitySpecs(cfg))))
 	if len(gran) != 3 {
 		t.Fatalf("granularity rows = %d", len(gran))
 	}
@@ -266,11 +268,11 @@ func TestRunExtensionsScaled(t *testing.T) {
 			gran[2].TimeToOptimal, gran[0].TimeToOptimal)
 	}
 
-	ll := RunLeaveLatency(cfg)
+	ll := reduceExtension(mustGather[ExtensionRow](t, ExecuteAll(LeaveLatencySpecs(cfg))))
 	if len(ll) != 5 {
 		t.Fatalf("leave-latency rows = %d", len(ll))
 	}
-	iv := RunIntervalSize(cfg)
+	iv := reduceExtension(mustGather[ExtensionRow](t, ExecuteAll(IntervalSizeSpecs(cfg))))
 	if len(iv) != 4 {
 		t.Fatalf("interval rows = %d", len(iv))
 	}
@@ -280,7 +282,7 @@ func TestRunExtensionsScaled(t *testing.T) {
 }
 
 func TestRunDomainsScaled(t *testing.T) {
-	rows := RunDomains(DomainsConfig{Seed: 1, Seeds: 1, Duration: 240 * sim.Second, ReceiversPer: 2})
+	rows := ReduceDomains(mustGather[DomainRow](t, ExecuteAll(DomainsSpecs(DomainsConfig{Seed: 1, Seeds: 1, Duration: 240 * sim.Second, ReceiversPer: 2}))))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (2 variants x 2 domains)", len(rows))
 	}
@@ -305,19 +307,31 @@ func TestRunDomainsScaled(t *testing.T) {
 }
 
 func TestPerDomainControllersAreIndependent(t *testing.T) {
-	// The per-domain variant runs two controllers that never exchange a
-	// message; both must have actually worked (steps and suggestions).
-	cfg := DomainsConfig{Seed: 2, Seeds: 1, Duration: 120 * sim.Second, ReceiversPer: 2}
-	cfg.normalize()
-	w := buildDomainsWorld(cfg)
-	w.wire(cfg, true)
-	w.engine.RunUntil(cfg.Duration)
-	if len(w.controllers) != 2 {
-		t.Fatalf("controllers = %d", len(w.controllers))
+	// The per-domain plane runs two controllers that never exchange a
+	// message: no federation parent, both controllers at work, and each
+	// registering exactly its own domain's receivers.
+	e := sim.NewEngine(2)
+	b := buildDomains(e, 2)
+	w := NewWorld(e, b, WorldConfig{Seed: 2, Traffic: CBR, Plane: PerDomain})
+	w.Run(120 * sim.Second)
+	if len(w.Controllers) != 2 {
+		t.Fatalf("controllers = %d", len(w.Controllers))
 	}
-	for i, c := range w.controllers {
+	if w.Parent != nil || len(w.Leaves) != 0 {
+		t.Errorf("per-domain plane built a federation: parent %v, %d leaves", w.Parent != nil, len(w.Leaves))
+	}
+	for i, c := range w.Controllers {
 		if c.StepsRun == 0 || c.SuggestionsSent == 0 {
 			t.Errorf("controller %d idle: steps=%d sugg=%d", i, c.StepsRun, c.SuggestionsSent)
+		}
+		var want []controller.ReceiverID
+		for _, node := range b.Receivers[0] {
+			if b.Domains[node.ID] == i+1 {
+				want = append(want, controller.ReceiverID{Session: 0, Node: node.ID})
+			}
+		}
+		if got := c.RegisteredReceivers(); !reflect.DeepEqual(got, want) {
+			t.Errorf("controller %d registers %v, want its domain's %v", i, got, want)
 		}
 	}
 }
@@ -375,7 +389,7 @@ func TestChurnSettledAndLive(t *testing.T) {
 }
 
 func TestRunConvergenceScaled(t *testing.T) {
-	rows := RunConvergence(ConvergenceConfig{Seed: 1, Duration: 240 * sim.Second, Sets: 3, PerSet: 2})
+	rows := mustGather[ConvergenceRow](t, ExecuteAll(ConvergenceSpecs(ConvergenceConfig{Seed: 1, Duration: 240 * sim.Second, Sets: 3, PerSet: 2})))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -406,7 +420,7 @@ func TestRunConvergenceScaled(t *testing.T) {
 }
 
 func TestFig9Plots(t *testing.T) {
-	res := RunFig9(Fig9Config{Seed: 1, Sessions: 2, Duration: 60 * sim.Second})
+	res := mustExecute[*Fig9Result](t, Fig9Specs(Fig9Config{Seed: 1, Sessions: 2, Duration: 60 * sim.Second}))
 	full := res.Plot(60, 6)
 	if !strings.Contains(full, "*") || !strings.Contains(full, "session0/level") {
 		t.Errorf("full plot broken:\n%s", full)
@@ -418,7 +432,7 @@ func TestFig9Plots(t *testing.T) {
 }
 
 func TestRunQueuePoliciesScaled(t *testing.T) {
-	rows := RunQueuePolicies(QueueConfig{Seed: 1, Duration: 180 * sim.Second, Sessions: 2})
+	rows := mustGather[QueueRow](t, ExecuteAll(QueuePolicySpecs(QueueConfig{Seed: 1, Duration: 180 * sim.Second, Sessions: 2})))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -442,7 +456,7 @@ func TestRunQueuePoliciesScaled(t *testing.T) {
 }
 
 func TestRunVarianceScaled(t *testing.T) {
-	rows := RunVariance(VarianceConfig{Seed: 1, Seeds: 2, Duration: 120 * sim.Second, Sessions: 2})
+	rows := ReduceVariance(mustGather[VarianceSample](t, ExecuteAll(VarianceSpecs(VarianceConfig{Seed: 1, Seeds: 2, Duration: 120 * sim.Second, Sessions: 2}))))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -463,7 +477,7 @@ func TestRunVarianceScaled(t *testing.T) {
 }
 
 func TestRunLastMileScaled(t *testing.T) {
-	rows := RunLastMile(LastMileConfig{Seed: 1, Duration: 240 * sim.Second})
+	rows := mustGather[LastMileRow](t, ExecuteAll(LastMileSpecs(LastMileConfig{Seed: 1, Duration: 240 * sim.Second})))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -186,15 +186,6 @@ func failureRow(session int, lv *trace.Series, failAt, repairAt, duration sim.Ti
 	return row
 }
 
-// RunFailure executes the experiment and returns its result.
-func RunFailure(cfg FailureConfig) *FailureResult {
-	res := FailureSpecs(cfg)[0].Execute(0)
-	if res.Failed() {
-		panic("experiments: " + res.Err)
-	}
-	return res.Rows.(*FailureResult)
-}
-
 // Table renders the per-session recovery summary.
 func (r *FailureResult) Table() *Table {
 	t := &Table{

@@ -105,15 +105,15 @@ func federationQuality(traces []*metrics.Trace, optima []int, finals []int, idx 
 // run on the identical topology and seed.
 func FederationSpecs(cfg FederationConfig) []Spec {
 	cfg.normalize()
-	return []Spec{federationSpec(cfg, false), federationSpec(cfg, true)}
+	return []Spec{federationSpec(cfg, Flat), federationSpec(cfg, Federated)}
 }
 
 // federationSpec is one variant: the all-domains row, then one row per
 // receiver-bearing domain. Federated rows add the parent's view of each
 // domain and the leaf's isolation check.
-func federationSpec(cfg FederationConfig, federate bool) Spec {
+func federationSpec(cfg FederationConfig, plane Plane) Spec {
 	variant := "flat"
-	if federate {
+	if plane == Federated {
 		variant = "federated"
 	}
 	return NewSpec("fig_federation",
@@ -122,7 +122,7 @@ func federationSpec(cfg FederationConfig, federate bool) Spec {
 		func(m *Meter) (any, error) {
 			e := NewRunEngine(cfg.Seed, 0)
 			b := federationTopology(e, cfg.Seed, cfg.ReceiversPerLeaf)
-			w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Federate: federate})
+			w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Plane: plane})
 			m.ObserveWorld(w)
 			w.Run(cfg.Duration)
 			traces, optima := w.AllTraces()
@@ -176,11 +176,6 @@ func federationSpec(cfg FederationConfig, federate bool) Spec {
 			}
 			return append([]FederationRow{allRow}, rows...), nil
 		})
-}
-
-// RunFederation executes both variants and returns their rows.
-func RunFederation(cfg FederationConfig) []FederationRow {
-	return mustGather[FederationRow](ExecuteAll(FederationSpecs(cfg)))
 }
 
 // FederationTable renders the comparison.

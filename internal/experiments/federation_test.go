@@ -34,7 +34,7 @@ func TestFederationConvergenceAndIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flat + federated runs")
 	}
-	rows := RunFederation(FederationConfig{Seed: 1, Duration: QuickDuration})
+	rows := mustGather[FederationRow](t, ExecuteAll(FederationSpecs(FederationConfig{Seed: 1, Duration: QuickDuration})))
 
 	var flat, fed int
 	for _, r := range rows {
@@ -85,7 +85,7 @@ func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *World
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR, Federate: true})
+	return NewWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR, Plane: Federated})
 }
 
 // fedCanonical reduces a federated run to its model-visible outcomes: every
@@ -134,10 +134,48 @@ func TestFederationShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFederationRejects pins the federated plane's input contract: no domain
+// TestFederatedChurnShardEquivalence pins -churn with -federate to the same
+// contract: a federated tiered world with every receiver a churn slot —
+// whole domains drain and refill — produces byte-identical traces, budgets
+// and registrations on the serial engine and on the sharded engine with one
+// and two workers.
+func TestFederatedChurnShardEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the churned federated world three times")
+	}
+	const spec = "tiered,fanout=2:2,rxleaf=2"
+	const dur = 120 * sim.Second
+	run := func(shards int) string {
+		w := newFedRunWorld(t, spec, 1, shards)
+		for s := range w.Receivers {
+			for i := range w.Receivers[s] {
+				w.ChurnSlot(s, i, 8*sim.Second)
+			}
+		}
+		w.Run(dur)
+		if w.Churn.Joins == 0 || w.Churn.Leaves == 0 {
+			t.Fatalf("shards=%d: no churn: %d joins, %d leaves", shards, w.Churn.Joins, w.Churn.Leaves)
+		}
+		var sb strings.Builder
+		sb.WriteString(fedCanonical(w))
+		fmt.Fprintf(&sb, "joins %d leaves %d\n", w.Churn.Joins, w.Churn.Leaves)
+		for _, c := range w.Controllers {
+			fmt.Fprintf(&sb, "deregs %d registered %v\n", c.DeregistersRecv, c.RegisteredReceivers())
+		}
+		return sb.String()
+	}
+	serial := run(0)
+	for _, shards := range []int{1, 2} {
+		if got := run(shards); got != serial {
+			t.Errorf("shards=%d diverges from the serial engine\n%s", shards, firstDiff(serial, got))
+		}
+	}
+}
+
+// TestFederationRejects pins the scoped planes' input contract: no domain
 // labels and the -aggregate combination are errors, not silent fallbacks —
 // WorldConfig.Validate reports them and NewWorld panics with the same
-// message.
+// message, on the federated and the per-domain plane alike.
 func TestFederationRejects(t *testing.T) {
 	e := NewRunEngine(1, 0)
 	_, tcfg, err := topology.Parse("tiered,fanout=2:2,rxleaf=2")
@@ -162,10 +200,12 @@ func TestFederationRejects(t *testing.T) {
 		}()
 		NewWorld(e, b, cfg)
 	}
-	rejects(WorldConfig{Seed: 1, Federate: true, Aggregate: true}, "Aggregate: true")
+	rejects(WorldConfig{Seed: 1, Plane: Federated, Aggregate: true}, "Aggregate: true")
+	rejects(WorldConfig{Seed: 1, Plane: PerDomain, Aggregate: true}, "PerDomain with Aggregate: true")
 	saved := b.Domains
 	b.Domains = nil
-	rejects(WorldConfig{Seed: 1, Federate: true}, "a build without domain labels")
+	rejects(WorldConfig{Seed: 1, Plane: Federated}, "a build without domain labels")
+	rejects(WorldConfig{Seed: 1, Plane: PerDomain}, "PerDomain on a build without domain labels")
 	if err := (WorldConfig{Seed: 1}).Validate(b); err != nil {
 		t.Errorf("flat config rejected: %v", err)
 	}

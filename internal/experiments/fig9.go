@@ -84,16 +84,6 @@ func Fig9Specs(cfg Fig9Config) []Spec {
 		})}
 }
 
-// RunFig9 reproduces Figure 9: run Topology B and record each session's
-// subscription level and loss rate.
-func RunFig9(cfg Fig9Config) *Fig9Result {
-	res := Fig9Specs(cfg)[0].Execute(0)
-	if res.Failed() {
-		panic("experiments: " + res.Err)
-	}
-	return res.Rows.(*Fig9Result)
-}
-
 // WindowTable renders the paper's 10-second window sample by sample.
 func (r *Fig9Result) WindowTable() *Table {
 	t := &Table{

@@ -212,7 +212,7 @@ func TestObserveWorldWiresAggregation(t *testing.T) {
 			e := sim.NewEngine(1)
 			b := topology.MustGenerate(e, &topology.TieredConfig{Seed: 1, FanOut: []int{2, 2},
 				Bandwidth: []float64{10e6, 600e3}, ReceiversPerLeaf: 2})
-			return NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Federate: true}), b.Net
+			return NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Plane: Federated}), b.Net
 		}},
 	}
 	for _, tc := range cases {

@@ -192,8 +192,10 @@ func scaleSpec(cfg ScaleConfig, point string, shards int, aggregate, federate bo
 	if aggregate {
 		name += "/agg"
 	}
+	plane := Flat
 	if federate {
 		name += "/fed"
+		plane = Federated
 	}
 	return NewSpec("fig_scale", name,
 		cfg.Seed, cfg.Duration,
@@ -216,7 +218,7 @@ func scaleSpec(cfg ScaleConfig, point string, shards int, aggregate, federate bo
 				Aggregate: aggregate,
 				Federate:  federate,
 			}
-			w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Aggregate: aggregate, Federate: federate})
+			w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Aggregate: aggregate, Plane: plane})
 			m.ObserveWorld(w)
 			w.Run(cfg.Duration)
 			row.Groups = w.Domain.NumGroups()
@@ -254,11 +256,6 @@ func scaleSpec(cfg ScaleConfig, point string, shards int, aggregate, federate bo
 			row.MeanDev = metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration)
 			return []ScaleRow{row}, nil
 		})
-}
-
-// RunScale executes the scaling sweep serially.
-func RunScale(cfg ScaleConfig) []ScaleRow {
-	return mustGather[ScaleRow](ExecuteAll(ScaleSpecs(cfg)))
 }
 
 // ScaleTable renders the curve, joining each row with its run's event

@@ -34,7 +34,7 @@ func TestScaleSmoke(t *testing.T) {
 		t.Fatalf("specs = %d, want 1", len(specs))
 	}
 	results := ExecuteAll(specs)
-	rows := mustGather[ScaleRow](results)
+	rows := mustGather[ScaleRow](t, results)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}

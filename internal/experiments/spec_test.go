@@ -9,6 +9,28 @@ import (
 	"toposense/internal/sim"
 )
 
+// mustGather returns the typed rows of results, failing the test on the
+// first failed run.
+func mustGather[T any](t testing.TB, results []Result) []T {
+	t.Helper()
+	rows, err := GatherRows[T](results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// mustExecute runs a single-run sweep (Figure 9, fig_failure) and returns
+// the one result its body produced.
+func mustExecute[T any](t testing.TB, specs []Spec) T {
+	t.Helper()
+	res := specs[0].Execute(0)
+	if res.Failed() {
+		t.Fatalf("run %s failed: %s", res.Name, res.Err)
+	}
+	return res.Rows.(T)
+}
+
 func TestDefaults(t *testing.T) {
 	d := PaperDefaults()
 	if got := d.Dur(0); got != PaperDuration {
@@ -170,7 +192,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 }
 
 func TestFig9ResultMarshalJSON(t *testing.T) {
-	res := RunFig9(Fig9Config{Seed: 1, Duration: 60 * sim.Second, Sessions: 2})
+	res := mustExecute[*Fig9Result](t, Fig9Specs(Fig9Config{Seed: 1, Duration: 60 * sim.Second, Sessions: 2}))
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

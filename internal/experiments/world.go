@@ -48,15 +48,16 @@ var AllTraffic = []Traffic{CBR, VBR3, VBR6}
 // Duration of every paper run.
 const PaperDuration = 1200 * sim.Second
 
-// World is an assembled TopoSense simulation on one of two control planes.
-// Flat (the default): one controller at Build.Controller sees every
-// receiver. Federated (WorldConfig.Federate): one scoped leaf controller per
-// receiver-bearing topology domain — each seeing only its own subtree,
-// exactly the paper's Figure 3 per-domain agents — under a federation
-// parent at Build.Controller that reconciles per-domain session budgets;
-// every receiver registers with its own domain's leaf. Sources, the
+// World is an assembled TopoSense simulation on one of three control
+// planes (WorldConfig.Plane). Flat, the default: one controller at
+// Build.Controller sees every receiver. PerDomain: one scoped controller per
+// receiver-bearing topology domain, each seeing only its own subtree and
+// unaware of the others — the paper's Figure 3 per-domain agents; every
+// receiver registers with its own domain's controller. Federated: the
+// PerDomain controllers become federation leaves under a parent at
+// Build.Controller that reconciles per-domain session budgets. Sources, the
 // multicast domain, receivers, traces and the run lifecycle are the same on
-// both planes.
+// every plane.
 type World struct {
 	Engine    sim.Runner
 	Net       *netsim.Network
@@ -65,27 +66,39 @@ type World struct {
 	Sources   []*source.Source
 	Receivers [][]*receiver.Receiver // [session][i]; a churn slot's live incarnation, nil while departed
 	// Controllers lists every controller receivers register with: the flat
-	// controller alone, or each leaf's controller in domain order.
+	// controller alone, or each domain's scoped controller in domain order.
 	Controllers []*controller.Controller
-	Controller  *controller.Controller // the flat controller; nil when federated
+	Controller  *controller.Controller // the flat controller; nil on the scoped planes
 	Aggregator  *mcast.Aggregator      // non-nil when WorldConfig.Aggregate is set
-	Tool        *topodisc.Tool         // the flat controller's discovery tool; nil when federated
+	Tool        *topodisc.Tool         // the flat controller's discovery tool; nil on the scoped planes
 	Traces      [][]*metrics.Trace     // parallel to Receivers
 	Optimal     [][]int                // parallel to Receivers
 
-	// The federated plane; nil when flat.
-	Parent   *federation.Parent
-	Leaves   []*federation.Leaf             // sorted by domain id
-	ScopeFor map[int]map[netsim.NodeID]bool // domain label -> its node set
+	// The federation parent and its leaves; nil unless Federated.
+	Parent *federation.Parent
+	Leaves []*federation.Leaf // sorted by domain id
+	// ScopeFor maps each controlled domain label to its node set; nil when
+	// flat.
+	ScopeFor map[int]map[netsim.NodeID]bool
 
 	// Churn drives membership churn; nil until ChurnSlot adds a slot.
 	Churn *churn.Driver
 
 	layers  int
-	leafAt  map[int]netsim.NodeID // federated: domain label -> its leaf controller's node
+	leafAt  map[int]netsim.NodeID // scoped planes: domain label -> its controller's node
 	obs     *obs.Obs
 	started bool
 }
+
+// Plane selects a world's control plane; see World.
+type Plane int
+
+// The control planes.
+const (
+	Flat Plane = iota
+	PerDomain
+	Federated
+)
 
 // WorldConfig carries the knobs shared by all experiments.
 type WorldConfig struct {
@@ -108,35 +121,39 @@ type WorldConfig struct {
 	// Off (the default) the control plane is byte-identical to the flat
 	// report path.
 	Aggregate bool
-	// Federate builds the hierarchical control plane instead of the flat
-	// controller. The build must carry domain labels; see Validate.
-	Federate bool
+	// Plane selects the control plane; the zero value is Flat. The scoped
+	// planes need a domain-labelled build; see Validate.
+	Plane Plane
 	// Algorithm overrides; zero values take core defaults.
 	Alg core.Config
 }
 
-// Validate reports why c cannot build a world on b. Only the federated
-// plane has preconditions: the build must carry generator-emitted domain
-// labels (tiered, tree, star and linear families do), and Aggregate is
-// rejected — the in-network aggregation layer serves exactly one flat
-// controller node.
+// Validate reports why c cannot build a world on b. Only the scoped planes
+// have preconditions: the build must carry domain labels (the tiered,
+// tree, star and linear generators emit them), and Aggregate is rejected —
+// the in-network aggregation layer serves exactly one flat controller node.
 func (c WorldConfig) Validate(b *topology.Build) error {
-	if !c.Federate {
+	if c.Plane == Flat {
 		return nil
 	}
+	plane := "federation"
+	if c.Plane == PerDomain {
+		plane = "per-domain"
+	}
 	if b.Domains == nil {
-		return fmt.Errorf("federation: topology family emits no domain labels; use tiered/tree/star/linear")
+		return fmt.Errorf("%s: topology family emits no domain labels; use tiered/tree/star/linear", plane)
 	}
 	if c.Aggregate {
-		return fmt.Errorf("federation: -aggregate serves a single flat controller; drop one of the two flags")
+		return fmt.Errorf("%s: -aggregate serves a single flat controller; drop one of the two flags", plane)
 	}
 	return nil
 }
 
 // NewWorld assembles a world on a built topology. One source per session is
 // placed at Build.Sources[i], the flat controller (or the federation
-// parent) at Build.Controller, and one receiver per entry of
-// Build.Receivers. It panics with Validate's message on an invalid config.
+// parent) at Build.Controller, the scoped controllers at their domains, and
+// one receiver per entry of Build.Receivers. It panics with Validate's
+// message on an invalid config.
 //
 // When e is a ShardedEngine the network is partitioned across e's shards
 // before any component is wired, so every subsequently created timer lands
@@ -187,7 +204,7 @@ func NewWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *World {
 		}
 	}
 	algCfg.Normalize()
-	if cfg.Federate {
+	if cfg.Plane != Flat {
 		w.federate(cfg, algCfg, sessions)
 	} else {
 		w.Controller, w.Tool = w.addController(b.Controller, nil, cfg.Seed+1, cfg, algCfg, sessions)
@@ -232,11 +249,11 @@ func (w *World) addController(at *netsim.Node, scope map[netsim.NodeID]bool, see
 	return ctrl, tool
 }
 
-// federate builds the hierarchical control plane: the parent at
-// Build.Controller, then a leaf controller for every domain containing
-// receivers, in domain order, at the domain's top node — the lowest node id
-// carrying the label, which is its ingress since generators emit parents
-// before children.
+// federate builds the scoped control planes: a controller for every domain
+// containing receivers, in domain order, at the domain's top node — the
+// lowest node id carrying the label, which is its ingress since builds emit
+// parents before children. Federated adds the parent at Build.Controller
+// and wraps each controller in a federation leaf.
 func (w *World) federate(cfg WorldConfig, algCfg core.Config, sessions []int) {
 	b := w.Build
 	// Domain geography: node sets per label, and which domains hold
@@ -260,8 +277,8 @@ func (w *World) federate(cfg WorldConfig, algCfg core.Config, sessions []int) {
 			needLeaf[b.Domains[node.ID]] = true
 		}
 	}
-	// Domain 0 holds the backbone and the parent; any receivers there are
-	// controlled by a leaf co-resident with the parent, scoped to label 0.
+	// Domain 0 holds the backbone and Build.Controller; any receivers there
+	// are controlled by a controller co-resident with it, scoped to label 0.
 	w.leafAt[0] = b.Controller.ID
 	doms := make([]int, 0, len(needLeaf))
 	for dom := range w.ScopeFor {
@@ -273,11 +290,16 @@ func (w *World) federate(cfg WorldConfig, algCfg core.Config, sessions []int) {
 	}
 	sort.Ints(doms)
 
-	w.Parent = federation.NewParent(b.Net, b.Controller, algCfg.LayerRates, algCfg.Interval)
+	if cfg.Plane == Federated {
+		w.Parent = federation.NewParent(b.Net, b.Controller, algCfg.LayerRates, algCfg.Interval)
+	}
 	for _, dom := range doms {
-		// Distinct RNG stream per leaf, derived from the run seed the same
-		// way the flat controller's is.
+		// Distinct RNG stream per domain, derived from the run seed the
+		// same way the flat controller's is.
 		ctrl, _ := w.addController(b.Net.Node(w.leafAt[dom]), w.ScopeFor[dom], cfg.Seed+1+int64(dom), cfg, algCfg, sessions)
+		if w.Parent == nil {
+			continue
+		}
 		w.Leaves = append(w.Leaves, federation.NewLeaf(ctrl, dom, b.Controller.ID))
 		w.Parent.AddDomain(federation.DomainConfig{
 			Domain:          dom,
