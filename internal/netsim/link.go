@@ -50,8 +50,9 @@ func (s LinkStats) DropRate() float64 {
 //
 // The forwarding hot path is allocation-free: the serialization-done and
 // delivery callbacks are bound once per link at construction, the waiting
-// queue and the propagation pipeline are head-indexed slices whose backing
-// arrays are reused, and pooled packets move through on reference counts
+// queue and the propagation pipeline are head-indexed slices that compact
+// their consumed prefix, so their backing arrays stay sized by peak
+// occupancy, and pooled packets move through on reference counts
 // instead of garbage.
 type Link struct {
 	net        *Network
@@ -308,14 +309,7 @@ func (l *Link) txDone() {
 		// The serialization was aborted by SetDown; just advance the
 		// transmitter (the queue is normally empty here, but packets may
 		// have queued if the link came back up mid-abort).
-		if l.qhead < len(l.queue) {
-			next := l.queue[l.qhead]
-			l.queue[l.qhead] = nil
-			l.qhead++
-			if l.qhead == len(l.queue) {
-				l.queue = l.queue[:0]
-				l.qhead = 0
-			}
+		if next := l.popQueue(); next != nil {
 			l.transmit(next)
 		} else {
 			l.busy = false
@@ -333,18 +327,24 @@ func (l *Link) txDone() {
 		l.inflight = append(l.inflight, p)
 	}
 	l.dsched.Schedule(l.Delay, l.deliverFn)
-	if l.qhead < len(l.queue) {
-		next := l.queue[l.qhead]
-		l.queue[l.qhead] = nil
-		l.qhead++
-		if l.qhead == len(l.queue) {
-			l.queue = l.queue[:0]
-			l.qhead = 0
-		}
+	if next := l.popQueue(); next != nil {
 		l.transmit(next)
 	} else {
 		l.busy = false
 	}
+}
+
+// popQueue removes and returns the packet at the head of the waiting
+// queue, or nil when it is empty.
+func (l *Link) popQueue() *Packet {
+	if l.qhead == len(l.queue) {
+		return nil
+	}
+	p := l.queue[l.qhead]
+	l.queue[l.qhead] = nil
+	l.qhead++
+	l.queue, l.qhead = compact(l.queue, l.qhead)
+	return p
 }
 
 // deliverHead hands the oldest in-flight packet to the receiving node and
@@ -375,9 +375,20 @@ func (l *Link) popInflight() *Packet {
 	p := l.inflight[l.ifhead]
 	l.inflight[l.ifhead] = nil
 	l.ifhead++
-	if l.ifhead == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.ifhead = 0
-	}
+	l.inflight, l.ifhead = compact(l.inflight, l.ifhead)
 	return p
+}
+
+// compact reclaims the consumed prefix q[:head] of a head-indexed packet
+// slice once the head passes half its length, so a link that never goes
+// idle reuses a backing array sized by its peak occupancy instead of
+// growing it for the whole run. The copy moves fewer entries than were
+// popped since the last one, so the cost per pop stays constant.
+func compact(q []*Packet, head int) ([]*Packet, int) {
+	if head <= len(q)/2 {
+		return q, head
+	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
 }

@@ -91,7 +91,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return e.q.pending() }
 
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -151,7 +151,7 @@ func (e *Engine) Stats() EngineStats {
 		Now:         e.now,
 		NowSeconds:  e.now.Seconds(),
 		Fired:       e.fired,
-		Pending:     e.q.len(),
+		Pending:     e.q.pending(),
 		EventAllocs: e.q.slotAllocs,
 		EventReuses: e.q.slotReuses,
 	}

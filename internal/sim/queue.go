@@ -10,16 +10,31 @@ package sim
 // The Engine owns its queue outright; a shard's queue is owned by the
 // shard's worker during a window and by the barrier goroutine between
 // windows (the window handoff provides the happens-before edge).
+//
+// parked counts entries that hold a reserved sequence number but wait
+// outside the heap behind a Lane's head; they are pending all the same.
 type equeue struct {
-	heap []*Event
-	free []*Event
-	seq  uint64
+	heap   []*Event
+	free   []*Event
+	seq    uint64
+	parked int
 
 	slotAllocs uint64 // Event structs ever allocated
 	slotReuses uint64 // acquisitions served from the free list
 }
 
 func (q *equeue) len() int { return len(q.heap) }
+
+// pending counts every queued firing: heap-resident events plus the
+// entries parked behind lane heads.
+func (q *equeue) pending() int { return len(q.heap) + q.parked }
+
+// reserve consumes the next sequence number exactly as an acquire would.
+func (q *equeue) reserve() uint64 {
+	seq := q.seq
+	q.seq++
+	return seq
+}
 
 // head returns the earliest event without removing it, or nil.
 func (q *equeue) head() *Event {
@@ -29,9 +44,16 @@ func (q *equeue) head() *Event {
 	return q.heap[0]
 }
 
-// acquire takes an event slot from the free list (bumping its generation so
-// stale handles go inert) or allocates a fresh one.
+// acquire takes an event slot keyed (t, next sequence number).
 func (q *equeue) acquire(t Time, fn func()) *Event {
+	return q.acquireKeyed(t, q.reserve(), fn)
+}
+
+// acquireKeyed takes an event slot from the free list (bumping its
+// generation so stale handles go inert) or allocates a fresh one, keyed
+// (t, seq) under a sequence number reserved earlier. It does not advance
+// the counter.
+func (q *equeue) acquireKeyed(t Time, seq uint64, fn func()) *Event {
 	var ev *Event
 	if n := len(q.free); n > 0 {
 		ev = q.free[n-1]
@@ -45,9 +67,8 @@ func (q *equeue) acquire(t Time, fn func()) *Event {
 		q.slotAllocs++
 	}
 	ev.at = t
-	ev.seq = q.seq
+	ev.seq = seq
 	ev.fn = fn
-	q.seq++
 	return ev
 }
 

@@ -43,11 +43,11 @@ const noEvent = Time(math.MaxInt64)
 // topology partitioners keep every stochastic component (sources, the
 // controller) in partition 0 to honor this.
 type ShardedEngine struct {
-	rng      *rand.Rand
-	workers  int
-	shards   []*shardSched
-	gq       *shardSched // global barrier queue; nil while degenerate
-	now      Time        // committed global time (window start)
+	rng       *rand.Rand
+	workers   int
+	shards    []*shardSched
+	gq        *shardSched // global barrier queue; nil while degenerate
+	now       Time        // committed global time (window start)
 	lookahead Time
 
 	stopped atomic.Bool
@@ -194,13 +194,13 @@ func (se *ShardedEngine) Fired() uint64 {
 func (se *ShardedEngine) Pending() int {
 	n := 0
 	for _, s := range se.shards {
-		n += s.q.len() + s.pendingSpill()
+		n += s.q.pending() + s.pendingSpill()
 		for _, mb := range s.out {
 			n += len(mb)
 		}
 	}
 	if se.gq != nil {
-		n += se.gq.q.len()
+		n += se.gq.q.pending()
 	}
 	return n
 }
@@ -215,7 +215,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 			Now:         s.now,
 			NowSeconds:  s.now.Seconds(),
 			Fired:       s.fired,
-			Pending:     s.q.len(),
+			Pending:     s.q.pending(),
 			EventAllocs: s.q.slotAllocs,
 			EventReuses: s.q.slotReuses,
 		}
@@ -238,7 +238,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 		st.Shards[i] = ShardEngineStats{
 			Shard:      i,
 			Fired:      s.fired,
-			Pending:    s.q.len() + s.pendingSpill(),
+			Pending:    s.q.pending() + s.pendingSpill(),
 			CrossIn:    s.crossIn,
 			Windows:    s.windows,
 			StallNanos: s.stall,

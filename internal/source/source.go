@@ -166,7 +166,8 @@ func (s *Source) Sent(k int) int64 { return s.sent[k-1] }
 
 // Start begins transmission of every layer. CBR layers emit one packet per
 // fixed inter-packet gap; VBR layers emit a per-interval batch spread evenly
-// across the interval.
+// across the interval. Each layer's emit callback is bound once here, so
+// steady-state transmission allocates no closures.
 func (s *Source) Start() {
 	if s.started {
 		return
@@ -176,16 +177,31 @@ func (s *Source) Start() {
 	for l := 1; l <= s.cfg.layers(); l++ {
 		layer := l
 		if s.cfg.VBR() {
+			// The batch's packets ride one lane: it holds a single queue
+			// slot however many packets the batch spreads.
+			lane := sim.NewLane(e, func() {
+				if !s.stopped {
+					s.emit(layer)
+				}
+			})
 			// Emit one batch immediately, then every interval.
-			s.emitVBRBatch(layer)
-			tk := sim.Every(e, VBRInterval, func() { s.emitVBRBatch(layer) })
+			s.emitVBRBatch(layer, lane)
+			tk := sim.Every(e, VBRInterval, func() { s.emitVBRBatch(layer, lane) })
 			s.tickers = append(s.tickers, tk)
 		} else {
 			gap := sim.TransmitTime(s.cfg.packetSize(), s.cfg.rate(layer))
 			// Desynchronize layers slightly so all layers do not fire in
 			// the same microsecond (deterministic per seed).
 			offset := sim.Time(e.Rand().Int63n(int64(gap)))
-			e.Schedule(offset, func() { s.emitCBR(layer, gap) })
+			var emitCBR func()
+			emitCBR = func() {
+				if s.stopped {
+					return
+				}
+				s.emit(layer)
+				s.sched().Schedule(gap, emitCBR)
+			}
+			e.Schedule(offset, emitCBR)
 		}
 	}
 }
@@ -199,25 +215,17 @@ func (s *Source) Stop() {
 	s.tickers = nil
 }
 
-func (s *Source) emitCBR(layer int, gap sim.Time) {
-	if s.stopped {
-		return
-	}
-	s.emit(layer)
-	s.sched().Schedule(gap, func() { s.emitCBR(layer, gap) })
-}
-
 // emitVBRBatch draws the per-interval packet count from the peak-to-mean
-// model and spreads the packets evenly across the interval.
-func (s *Source) emitVBRBatch(layer int) {
+// model and spreads the packets evenly across the interval on the layer's
+// lane.
+func (s *Source) emitVBRBatch(layer int, lane *sim.Lane) {
 	if s.stopped {
 		return
 	}
-	e := s.sched()
 	p := s.cfg.PeakToMean
 	avg := s.cfg.rate(layer) / (float64(s.cfg.packetSize()) * 8) // A: packets per second
 	var n float64
-	if e.Rand().Float64() < 1/p {
+	if s.sched().Rand().Float64() < 1/p {
 		n = p*avg + 1 - p
 	} else {
 		n = 1
@@ -228,12 +236,7 @@ func (s *Source) emitVBRBatch(layer int) {
 	}
 	gap := VBRInterval / sim.Time(count)
 	for i := 0; i < count; i++ {
-		delay := sim.Time(i) * gap
-		e.Schedule(delay, func() {
-			if !s.stopped {
-				s.emit(layer)
-			}
-		})
+		lane.Schedule(sim.Time(i) * gap)
 	}
 }
 

@@ -351,3 +351,84 @@ func TestCustomRatesConfig(t *testing.T) {
 		t.Errorf("custom-rate throughput %.0f, want ~304000", gotRate)
 	}
 }
+
+// wrapSched embeds *sim.Engine and intercepts its schedules, so lanes on
+// it take their per-entry fallback path.
+type wrapSched struct {
+	*sim.Engine
+	ats int
+}
+
+func (w *wrapSched) Schedule(d sim.Time, fn func()) sim.Handle { return w.At(w.Now()+d, fn) }
+
+func (w *wrapSched) At(t sim.Time, fn func()) sim.Handle {
+	w.ats++
+	return w.Engine.At(t, fn)
+}
+
+// vbrTrace runs a full-rate VBR(P=3) source on s for d and returns every
+// delivered packet as (arrival time, layer, seq), plus the engine's fired
+// count.
+func vbrTrace(e *sim.Engine, s sim.Scheduler, d sim.Time) ([][3]int64, uint64) {
+	n := netsim.New(s)
+	srcNode := n.AddNode("src")
+	rxNode := n.AddNode("rx")
+	n.Connect(srcNode, rxNode, netsim.LinkConfig{Bandwidth: 100e6, Delay: sim.Millisecond, QueueLimit: 1000})
+	dom := mcast.NewDomain(n)
+	src := New(n, dom, srcNode, Config{Session: 0, PeakToMean: 3})
+	var got [][3]int64
+	for l := 1; l <= src.Layers(); l++ {
+		dom.Join(rxNode.ID, src.Group(l), memberFunc(func(p *netsim.Packet) {
+			got = append(got, [3]int64{int64(e.Now()), int64(p.Layer), p.Seq})
+		}))
+	}
+	src.Start()
+	e.RunUntil(d)
+	return got, e.Fired()
+}
+
+// TestVBRLaneMatchesPerPacketFallback runs the same VBR source with its
+// layers' lanes on an engine (one queue slot per layer) and on a wrapper
+// that forces one schedule per packet: deliveries and event counts match.
+func TestVBRLaneMatchesPerPacketFallback(t *testing.T) {
+	e1 := sim.NewEngine(4)
+	lane, fired1 := vbrTrace(e1, e1, 20*sim.Second)
+	e2 := sim.NewEngine(4)
+	w := &wrapSched{Engine: e2}
+	per, fired2 := vbrTrace(e2, w, 20*sim.Second)
+	if len(lane) == 0 || len(lane) != len(per) || fired1 != fired2 {
+		t.Fatalf("lane run: %d packets, %d events; per-packet run: %d packets, %d events",
+			len(lane), fired1, len(per), fired2)
+	}
+	for i := range lane {
+		if lane[i] != per[i] {
+			t.Fatalf("delivery %d: lane %v, per-packet %v", i, lane[i], per[i])
+		}
+	}
+	if w.ats < len(per) {
+		t.Fatalf("wrapper saw %d schedules for %d packets", w.ats, len(per))
+	}
+}
+
+// TestVBRLaneStopMidBatch stops a VBR source in the middle of its batches:
+// no packet leaves after Stop, and the entries still on the lanes drain.
+func TestVBRLaneStopMidBatch(t *testing.T) {
+	e, s, _ := rig(8, Config{Session: 0, PeakToMean: 3}, 6)
+	s.Start()
+	e.RunUntil(2*sim.Second + 300*sim.Millisecond)
+	s.Stop()
+	sent := func() (n int64) {
+		for l := 1; l <= s.Layers(); l++ {
+			n += s.Sent(l)
+		}
+		return n
+	}
+	at := sent()
+	e.Run()
+	if got := sent(); got != at {
+		t.Errorf("packets kept leaving after Stop: %d -> %d", at, got)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("%d events pending after the run drained", e.Pending())
+	}
+}
